@@ -509,8 +509,8 @@ let run_pool_baseline file =
         load = Net.Fault.Failure_free;
       }
   in
-  (* warm the per-domain signature key caches so the first timed run
-     does not pay one-time key generation *)
+  (* one untimed cell first, so the first timed run does not pay
+     one-time start-up costs *)
   ignore (cell 1 ());
   let (rows_seq, metrics_seq), sweep_seq_s = time (sweep 1) in
   let (rows_par, metrics_par), sweep_par_s = time (sweep !jobs) in
@@ -563,13 +563,13 @@ let run_pool_baseline file =
 
 (* Wall-clock of a fixed grid with the single-run fast path disabled vs
    enabled. Everything runs at -j 1 so the comparison isolates the memo
-   layers (frame interning, proof-digest cache, shared key material)
+   layers (frame interning, proof-digest cache)
    from pool parallelism. The grid's rows, cell aggregates, chaos
    report and merged metrics — minus the memo instrumentation counters
    themselves — are asserted equal across the two passes, which is the
    hot-path contract: the fast path may only change wall-clock time,
-   never a simulated result. The key caches are dropped before each
-   pass so both sides pay their own key generation. *)
+   never a simulated result. The ABBA key cache is dropped before each
+   pass so both sides start cold. *)
 let run_hotpath_baseline file =
   banner "Hot-path baseline: memoization off vs on wall clock (-j 1)";
   let time f =

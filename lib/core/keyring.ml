@@ -7,26 +7,22 @@ type t = {
   verifiers : Crypto.Onetime_sig.verifier array;
 }
 
-let setup rng ~n ~phases ?(rsa_bits = 512) () =
+let setup rng ~n ~phases () =
   if n <= 0 then invalid_arg "Keyring.setup: n must be positive";
-  (* both generators draw from [rng], so the per-owner application
-     order must be pinned (ascending) *)
+  let sp = Obs.Prof.start () in
+  (* each owner draws its seed from [rng]: the application order must
+     be pinned (ascending) *)
   let pairs = Util.Init.array n (fun owner -> Crypto.Onetime_sig.generate rng ~owner ~phases) in
-  let rsa_keys = Util.Init.array n (fun _ -> Crypto.Rsa.generate rng ~bits:rsa_bits) in
-  let verifiers = Array.map snd pairs in
-  (* the key exchange: sign each VK array with F, then verify before
-     storing it; one digest per party serves both sides *)
-  Array.iteri
-    (fun i verifier ->
-      let digest = Crypto.Onetime_sig.verifier_digest verifier in
-      let signature = Crypto.Rsa.sign rsa_keys.(i).sec digest in
-      if not (Crypto.Rsa.verify rsa_keys.(i).pub digest ~signature) then
-        failwith "Keyring.setup: VK array signature verification failed")
-    verifiers;
   (* the verifier array is immutable after setup: all n rings share it *)
-  Util.Init.array n (fun owner ->
-      let secret, _ = pairs.(owner) in
-      { kr_owner = owner; kr_n = n; kr_phases = phases; offset = 0; secret; verifiers })
+  let verifiers = Array.map snd pairs in
+  let rings =
+    Array.mapi
+      (fun owner (secret, _) ->
+        { kr_owner = owner; kr_n = n; kr_phases = phases; offset = 0; secret; verifiers })
+      pairs
+  in
+  Obs.Prof.stop Obs.Prof.keyring_setup sp;
+  rings
 
 let owner t = t.kr_owner
 let n t = t.kr_n

@@ -1,23 +1,24 @@
 (** Key material for the authenticity validation of Section 6.1.
 
     A keyring holds one process's own one-time secret keys plus the
-    verified verification-key arrays of every process. Setup performs
-    the paper's key exchange [e = 1]: each process's VK array is signed
-    with its RSA private key (the trapdoor function F) and checked by
-    every other process before the run starts — exactly the "distributed
-    offline along with the public keys" deployment the paper uses in its
-    experiments. *)
+    verification-key arrays of every process. The paper generates and
+    distributes these arrays "before the execution of the protocols",
+    signed with each process's trapdoor function F (RSA) and checked on
+    receipt. The simulator plays that out-of-band channel as a trusted
+    dealer, so setup does no public-key work: it draws one seed per
+    process and the keys are derived lazily
+    ({!Crypto.Onetime_sig.generate}). The signed exchange itself is
+    exercised once, by the crypto test suite, over
+    {!Crypto.Onetime_sig.verifier_digest}. *)
 
 type t
 
-val setup : Util.Rng.t -> n:int -> phases:int -> ?rsa_bits:int -> unit -> t array
-(** Trusted-dealer style setup for all [n] processes at once (the
-    simulator plays the out-of-band reliable channel). Generates one-time
-    key arrays for phases 1..[phases], RSA keypairs ([rsa_bits],
-    default 512), signs every VK array, verifies every signature, and
-    returns each process's keyring.
-    @raise Failure if any VK signature fails to verify (cannot happen
-    with an honest dealer; the check exercises the verification path). *)
+val setup : Util.Rng.t -> n:int -> phases:int -> unit -> t array
+(** Trusted-dealer setup for all [n] processes at once: one-time key
+    material for phases 1..[phases] (one 32-byte seed drawn from [rng]
+    per process, in ascending order) and each process's keyring, all
+    sharing one verifier array. Costs microseconds; each key is derived
+    on its first use. *)
 
 val owner : t -> int
 val n : t -> int

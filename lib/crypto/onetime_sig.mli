@@ -25,27 +25,44 @@ val slot_of_index : int -> slot
 (** @raise Util.Codec.Malformed on an out-of-range index. *)
 
 type secret
-(** The signer's side: the full SK array. *)
+(** The signer's side: the SK array for phases [1..phases]. *)
 
 type verifier
-(** The receivers' side: the full VK array for one signer. *)
+(** The receivers' side: the VK array for one signer. *)
 
 val generate : Util.Rng.t -> owner:int -> phases:int -> secret * verifier
 (** [generate rng ~owner ~phases] creates key material valid for phases
-    [1..phases] — the key exchange [e = 1] of Section 6.1. *)
+    [1..phases] — the key exchange [e = 1] of Section 6.1. It draws one
+    32-byte seed from [rng]; the keys themselves are derived on demand as
+    [SK(phi)(s) = H(seed || phi || s)] (a single SHA-256 block) and
+    [VK(phi)(s) = H(SK(phi)(s))].
+
+    The returned secret and verifier share one table of derived keys:
+    the first {!reveal} or {!check} of [(phi, s)] derives the pair
+    [SK(phi)(s)], [VK(phi)(s)] and both sides reuse it. Only phases
+    inside the horizon are ever derived, whatever proofs a sender
+    transmits, so live key state stays bounded by
+    [phases * slot_count] pairs per owner. Every entry is immutable
+    once published: concurrent readers on other domains at worst derive
+    the same key twice. Sharing the table is a simulation convenience —
+    a deployment ships {!verifier_to_bytes}, never the seed. *)
 
 val owner : verifier -> int
 val phases : verifier -> int
 val secret_phases : secret -> int
 
+val materialized_phases : verifier -> int
+(** How many phases have had at least one key derived so far. *)
+
 val reveal : secret -> phase:int -> slot -> bytes
 (** The 32-byte one-time signature for [(phase, slot)].
-    @raise Invalid_argument when [phase] is outside [1..phases]. *)
+    @raise Invalid_argument when [phase] is outside [1..phases]; nothing
+    is derived in that case. *)
 
 val check : verifier -> phase:int -> slot -> proof:bytes -> bool
 (** [check vk ~phase slot ~proof] is [true] iff [H(proof)] equals the
     pre-distributed verification key. Total: wrong sizes or phases out
-    of range return [false]. *)
+    of range return [false] without deriving any key. *)
 
 val check_with :
   hash:(bytes -> bytes) -> verifier -> phase:int -> slot -> proof:bytes -> bool
@@ -56,9 +73,13 @@ val check_with :
     invoked after the phase and length guards pass. *)
 
 val verifier_to_bytes : verifier -> bytes
+(** The full VK array, as shipped in the key exchange. Derives every
+    phase of the horizon. *)
+
 val verifier_of_bytes : bytes -> verifier
 (** @raise Util.Codec.Malformed / Truncated on garbage. *)
 
 val verifier_digest : verifier -> bytes
 (** SHA-256 over the serialized VK array; this is what the trapdoor
-    function [F] (RSA) signs during key exchange. *)
+    function [F] (RSA) signs during key exchange. Derives every phase of
+    the horizon. *)

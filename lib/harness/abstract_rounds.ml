@@ -75,28 +75,11 @@ let choose_dropped ~rng ~adversary ~correct ~omissions =
           correct;
         !dropped
 
-(* Key material for one abstract-rounds run. Profiling puts
-   Keyring.setup (dominated by RSA keypair generation for the VK
-   exchange) at ~95% of a run's host time, so under the hot-path memo
-   switch the keys come from the deterministic per-(n, phases) cache —
-   faithful to the paper's pre-distributed keys, like Runner's caches.
-   Outcomes are key-independent (they depend only on verify verdicts,
-   and every proof here is produced and checked against the same
-   keyring array), so memo-on and memo-off runs stay bit-identical:
-   the rng split is consumed either way, keeping every downstream
-   stream (machine rngs, drop patterns) unchanged. *)
-let keyrings_for ~rng ~n ~phases =
-  if Core.Intern.enabled () then begin
-    let (_ : Util.Rng.t) = Util.Rng.split rng in
-    Runner.keyrings_for ~seed:(Util.Rng.derive ~base:0x7153A1L [ n; phases ]) ~n ~phases
-  end
-  else Core.Keyring.setup (Util.Rng.split rng) ~n ~phases ()
-
 let run ~n ~k ?(byzantine = []) ?(dist = Runner.Unanimous) ?(adversary = Random_omissions)
     ~omissions ~rounds ~seed () =
   let rng = Util.Rng.create ~seed in
   let cfg = { (Core.Proto.default_config ~n) with k; max_phases = 3 * rounds + 9 } in
-  let keyrings = keyrings_for ~rng ~n ~phases:cfg.max_phases in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
   let proposals = Runner.proposals dist ~n in
   (* the closure splits [rng]: application order must be pinned *)
   let machines =
@@ -176,10 +159,8 @@ module Driven = struct
     mutable round : int;
   }
 
-  (* Key material comes from the deterministic per-(n, phases) cache
-     unconditionally: the checker enumerates thousands of sims and its
-     results are key-independent, so there is no memo-off contract to
-     honor here (unlike [run], whose rng stream predates the cache). *)
+  (* Key material comes from a dedicated per-(n, phases) seed: outcomes
+     are key-independent, so the run rng is left to the machines. *)
   let create ~n ~k ?(byzantine = []) ?(dist = Runner.Unanimous) ~horizon ~seed () =
     let rng = Util.Rng.create ~seed in
     let cfg = { (Core.Proto.default_config ~n) with k; max_phases = (3 * horizon) + 9 } in
@@ -304,7 +285,7 @@ end
 let single_round ~n ~k ?(byzantine = []) ?(adversary = Sigma_edge) ~omissions ~seed () =
   let rng = Util.Rng.create ~seed in
   let cfg = { (Core.Proto.default_config ~n) with k; max_phases = 30 } in
-  let keyrings = keyrings_for ~rng ~n ~phases:cfg.max_phases in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
   (* the closure splits [rng]: application order must be pinned *)
   let machines =
     Util.Init.array n (fun i ->

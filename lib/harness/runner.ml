@@ -32,33 +32,21 @@ type result = {
   metrics : Obs.Metrics.snapshot;
 }
 
-(* Key material caches — the paper generates and distributes all keys
-   before the experiments start, so reusing them across repetitions is
-   faithful (and keeps the simulation fast). Generation is seeded
-   deterministically (per dedicated seed, group size and horizon), so
-   the caches are domain-local: each pool worker derives bit-identical
-   keys instead of racing on a shared table. The caches carry no
-   metrics and deliberately survive run scopes — an order-dependent
-   hit pattern inside run metrics would break the -j 1 vs -j N
-   merged-metrics equality. *)
-let turquois_keys : (int64 * int * int, Core.Keyring.t array) Hashtbl.t Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
+(* Turquois keys are seeded deterministically and derived lazily, so
+   every run sets up its own in microseconds. ABBA's group keys are real
+   RSA and threshold-coin key pairs, so those are cached — the paper
+   distributes all keys before the experiments start, so reusing them
+   across repetitions is faithful. The cache is domain-local: each pool
+   worker derives bit-identical keys instead of racing on a shared
+   table. It carries no metrics and deliberately survives run scopes —
+   an order-dependent hit pattern inside run metrics would break the
+   -j 1 vs -j N merged-metrics equality. *)
 let abba_keys : (int, Baselines.Abba.group_keys) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let key_phases = 300
 
-let keyrings_for ~seed ~n ~phases =
-  let cache = Domain.DLS.get turquois_keys in
-  let key = (seed, n, phases) in
-  match Hashtbl.find_opt cache key with
-  | Some k -> k
-  | None ->
-      let k = Core.Keyring.setup (Util.Rng.create ~seed) ~n ~phases () in
-      Hashtbl.add cache key k;
-      k
+let keyrings_for ~seed ~n ~phases = Core.Keyring.setup (Util.Rng.create ~seed) ~n ~phases ()
 
 let turquois_keyrings ~n =
   keyrings_for ~seed:(Int64.of_int (0x7153 + n)) ~n ~phases:key_phases
@@ -73,9 +61,7 @@ let abba_group_keys ~n =
       Hashtbl.add cache n k;
       k
 
-let clear_key_cache () =
-  Hashtbl.reset (Domain.DLS.get turquois_keys);
-  Hashtbl.reset (Domain.DLS.get abba_keys)
+let clear_key_cache () = Hashtbl.reset (Domain.DLS.get abba_keys)
 
 (* Start offsets model the signaling machine's 1-byte UDP broadcast:
    one frame airtime plus small per-node reception jitter. *)

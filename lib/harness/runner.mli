@@ -71,13 +71,9 @@ val run :
     custom radio-level adversaries (e.g. {!Net.Fault.sigma_edge}). *)
 
 val clear_key_cache : unit -> unit
-(** Drops the cached key material (for tests that need fresh keys). *)
+(** Drops the cached ABBA group keys (for tests that need fresh keys). *)
 
 val keyrings_for : seed:int64 -> n:int -> phases:int -> Core.Keyring.t array
-(** Domain-local cached {!Core.Keyring.setup} from a dedicated seed.
-    Key generation is by far the most expensive step of a simulated run
-    (RSA keypairs for the VK exchange), and the paper pre-distributes
-    all key material before its experiments — so harnesses that would
-    otherwise regenerate keys per repetition share one deterministic
-    array per (seed, n, phases) instead. Callers must pick seeds
-    disjoint from run seeds and must not mutate the result. *)
+(** {!Core.Keyring.setup} from a dedicated seed: the same seed always
+    gives the same keys. Callers must pick seeds disjoint from run
+    seeds. *)

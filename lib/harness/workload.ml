@@ -98,8 +98,8 @@ let run_inner (c : config) =
   let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:c.n in
   Net.Radio.set_loss_prob radio c.loss;
   let cfg = { (Core.Proto.default_config ~n:c.n) with max_phases = 45 } in
-  (* keys depend on geometry only, so the cache is shared across loads
-     and reps of a sweep *)
+  (* keys depend on geometry only: every load and rep of a sweep uses
+     the same keys *)
   let keyrings =
     Runner.keyrings_for
       ~seed:(Util.Rng.derive ~base:7002L [ c.n; c.capacity ])

@@ -1,4 +1,4 @@
-(* Hot-path span profiler: opt-in, domain-local, host-wall-clock only.
+(* Hot-path span profiler: opt-in, domain-local, host monotonic clock only.
 
    A span is a named region of the receive/simulation hot path (frame
    decode, signature verify, MAC contention, engine pop, Vset tally).
@@ -48,6 +48,7 @@ let verify : span = register "hotpath.verify"
 let mac_contention : span = register "hotpath.mac_contention"
 let engine_pop : span = register "hotpath.engine_pop"
 let vset_tally : span = register "hotpath.vset_tally"
+let keyring_setup : span = register "keyring.setup"
 
 let span_name s = List.nth (Atomic.get names) s
 
@@ -92,7 +93,11 @@ let reset () =
 
 let off_sentinel = -1.0
 
-let start () = if on () then Unix.gettimeofday () else off_sentinel
+(* monotonic nanoseconds: many spans (a cached decode, one verify) take
+   less than a microsecond *)
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
+
+let start () = if on () then now_ns () else off_sentinel
 
 let bucket_of_ns ns =
   if ns < 1.0 then 0
@@ -100,7 +105,7 @@ let bucket_of_ns ns =
 
 let stop span t0 =
   if t0 >= 0.0 then begin
-    let ns = (Unix.gettimeofday () -. t0) *. 1.0e9 in
+    let ns = now_ns () -. t0 in
     let ns = Float.max 0.0 ns in
     let a = (accs ()).(span) in
     a.count <- a.count + 1;

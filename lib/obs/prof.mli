@@ -1,4 +1,4 @@
-(** Opt-in hot-path span profiler (host wall clock, domain-local).
+(** Opt-in hot-path span profiler (host monotonic clock, domain-local).
 
     Instrumented sites bracket a region with
     [let t0 = Prof.start () in ... ; Prof.stop span t0]; when profiling
@@ -26,6 +26,8 @@ val engine_pop : span  (** [Net.Engine.step] — event heap pop *)
 
 val vset_tally : span  (** [Core.Vset.add] — insert plus incremental tallies *)
 
+val keyring_setup : span  (** [Core.Keyring.setup] — one-time key setup for a group *)
+
 val register : string -> span
 (** Registers an additional span name; call at module initialization. *)
 
@@ -40,7 +42,8 @@ val with_profiling : bool -> (unit -> 'a) -> 'a
     previous state afterwards (also on raise). *)
 
 val start : unit -> float
-(** Timestamp when profiling is on, a negative sentinel otherwise. *)
+(** Monotonic-clock timestamp in nanoseconds when profiling is on, a
+    negative sentinel otherwise. *)
 
 val stop : span -> float -> unit
 (** [stop span t0] records [now - t0] against [span]; no-op when [t0]

@@ -192,6 +192,73 @@ let test_wire_rejects_bad_tags () =
   Alcotest.check_raises "truncated ref" Util.Codec.Truncated (fun () ->
       ignore (Core.Message.decode_wire (Bytes.sub b 0 (Bytes.length b - 1))))
 
+(* Decoder totality: a valid plain or compact frame put through byte
+   flips, insertions and truncations must decode or be refused with
+   [Malformed] / [Truncated], never any other exception. *)
+type mutation = Flip of int * int | Insert of int * char | Cut of int
+
+let apply_mutation b = function
+  | Flip (at, mask) when Bytes.length b > 0 ->
+      let b = Bytes.copy b and at = at mod Bytes.length b in
+      Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask));
+      b
+  | Flip _ -> b
+  | Insert (at, c) ->
+      let at = at mod (Bytes.length b + 1) in
+      Bytes.concat Bytes.empty
+        [ Bytes.sub b 0 at; Bytes.make 1 c; Bytes.sub b at (Bytes.length b - at) ]
+  | Cut len -> Bytes.sub b 0 (len mod (Bytes.length b + 1))
+
+let qcheck_decoder_totality =
+  let msg_gen =
+    QCheck.Gen.(
+      let* sender = int_range 0 65535 in
+      let* phase = int_range 1 10000 in
+      let* value = oneofl [ P.V0; P.V1; P.Vbot ] in
+      let* origin = oneofl [ P.Deterministic; P.Random ] in
+      let* status = oneofl [ P.Undecided; P.Decided ] in
+      let* proof = string_size ~gen:char (return 32) in
+      return (mk_msg ~sender ~phase ~value ~origin ~status ~proof:(Bytes.of_string proof) ()))
+  in
+  let entry_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun m -> Core.Message.Full m) msg_gen;
+          map
+            (fun d -> Core.Message.Ref (Bytes.of_string d))
+            (string_size ~gen:char (return Core.Message.digest_bytes));
+        ])
+  in
+  let mutation_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun at mask -> Flip (at, mask)) nat (int_range 1 255);
+          map2 (fun at c -> Insert (at, c)) nat char;
+          map (fun len -> Cut len) nat;
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* wmsg = msg_gen in
+      let* wjust = list_size (int_bound 4) entry_gen in
+      let* mutations = list_size (int_range 1 3) mutation_gen in
+      return ({ Core.Message.wmsg; wjust }, mutations))
+  in
+  let total decode b =
+    match decode b with
+    | _ -> true
+    | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> true
+  in
+  QCheck.Test.make ~name:"message decoder totality" ~count:1000
+    (QCheck.make
+       ~print:(fun (w, _) -> Core.Message.describe w.Core.Message.wmsg)
+       gen)
+    (fun (wire, mutations) ->
+      let frame = List.fold_left apply_mutation (Core.Message.encode_wire wire) mutations in
+      total Core.Message.decode frame && total Core.Message.decode_wire frame)
+
 let test_msg_digest_covers_proof () =
   let a = mk_msg () in
   let b = mk_msg ~proof:(Bytes.make 32 '\x22') () in
@@ -496,6 +563,7 @@ let suite =
       Alcotest.test_case "wire compact roundtrip" `Quick test_wire_compact_roundtrip;
       Alcotest.test_case "wire rejects bad tags" `Quick test_wire_rejects_bad_tags;
       Alcotest.test_case "msg digest covers proof" `Quick test_msg_digest_covers_proof;
+      QCheck_alcotest.to_alcotest qcheck_decoder_totality;
       Alcotest.test_case "keyring setup" `Quick test_keyring_setup;
       Alcotest.test_case "keyring cross check" `Quick test_keyring_cross_check;
       Alcotest.test_case "keyring check message" `Quick test_keyring_check_message;

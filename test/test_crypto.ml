@@ -219,6 +219,151 @@ let test_ots_slot_indexing () =
   Alcotest.check_raises "bad index" (Util.Codec.Malformed "invalid slot index 5") (fun () ->
       ignore (Crypto.Onetime_sig.slot_of_index 5))
 
+(* --- lazily derived one-time keys ---------------------------------------------- *)
+
+module Ots = Crypto.Onetime_sig
+
+let all_slots = Ots.[ S_zero; S_one; S_bot; S_rand_zero; S_rand_one ]
+
+let group ~seed ~n ~phases =
+  let rng = Util.Rng.create ~seed:(Int64.of_int seed) in
+  Util.Init.array n (fun owner -> Ots.generate rng ~owner ~phases)
+
+(* (seed, n, phases, owner, phase, slot) with owner < n <= 7 and
+   phase <= phases <= 6 *)
+let lazy_key_case =
+  QCheck.make
+    ~print:(fun (seed, n, phases, owner, phase, slot) ->
+      Printf.sprintf "seed=%d n=%d phases=%d owner=%d phase=%d slot=%d" seed n phases owner
+        phase slot)
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* n = int_range 1 7 in
+      let* phases = int_range 1 6 in
+      let* owner = int_bound (n - 1) in
+      let* phase = int_range 1 phases in
+      let* slot = int_bound (Ots.slot_count - 1) in
+      return (seed, n, phases, owner, phase, slot))
+
+let qcheck_ots_lazy_proofs =
+  QCheck.Test.make ~name:"ots lazy proofs" ~count:60
+    lazy_key_case (fun (seed, n, phases, owner, phase, slot) ->
+      let keys = group ~seed ~n ~phases in
+      let proof = Ots.reveal (fst keys.(owner)) ~phase (Ots.slot_of_index slot) in
+      let accepts o p s = Ots.check (snd keys.(o)) ~phase:p s ~proof in
+      accepts owner phase (Ots.slot_of_index slot)
+      && List.for_all
+           (fun o ->
+             List.for_all
+               (fun p ->
+                 List.for_all
+                   (fun s ->
+                     (o = owner && p = phase && s = Ots.slot_of_index slot) || not (accepts o p s))
+                   all_slots)
+               (List.init phases (fun i -> i + 1)))
+           (List.init n Fun.id))
+
+let qcheck_ots_horizon =
+  QCheck.Test.make ~name:"ots lazy horizon" ~count:60
+    lazy_key_case (fun (seed, n, phases, owner, _, slot) ->
+      let sk, vk = (group ~seed ~n ~phases).(owner) in
+      let slot = Ots.slot_of_index slot in
+      let raises phase =
+        match Ots.reveal sk ~phase slot with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let proof = Bytes.make 32 'p' in
+      raises (phases + 1) && raises 0
+      && (not (Ots.check vk ~phase:(phases + 1) slot ~proof))
+      && (not (Ots.check vk ~phase:0 slot ~proof))
+      && Ots.materialized_phases vk = 0
+      && (not (Ots.check vk ~phase:phases slot ~proof))
+      && Ots.materialized_phases vk = 1)
+
+let qcheck_keyring_slice =
+  QCheck.Test.make ~name:"keyring slice offset" ~count:60 lazy_key_case
+    (fun (seed, n, phases, owner, phase, slot) ->
+      let offset = seed mod 5 in
+      let rings =
+        Core.Keyring.setup (Util.Rng.create ~seed:(Int64.of_int seed)) ~n
+          ~phases:(offset + phases) ()
+      in
+      let value, origin =
+        match Ots.slot_of_index slot with
+        | S_zero -> (Core.Proto.V0, Core.Proto.Deterministic)
+        | S_one -> (V1, Deterministic)
+        | S_bot -> (Vbot, Deterministic)
+        | S_rand_zero -> (V0, Random)
+        | S_rand_one -> (V1, Random)
+      in
+      let view = Core.Keyring.slice rings.(owner) ~offset ~phases in
+      let proof = Core.Keyring.sign view ~phase ~value ~origin in
+      let reader = rings.((owner + 1) mod n) in
+      Bytes.equal proof (Core.Keyring.sign rings.(owner) ~phase:(offset + phase) ~value ~origin)
+      && Core.Keyring.check reader ~signer:owner ~phase:(offset + phase) ~value ~origin ~proof
+      && Core.Keyring.check
+           (Core.Keyring.slice reader ~offset ~phases)
+           ~signer:owner ~phase ~value ~origin ~proof
+      && (offset = 0
+         || not (Core.Keyring.check reader ~signer:owner ~phase ~value ~origin ~proof)))
+
+(* every proof of a group, phase by phase, in a fixed order *)
+let all_proofs keys ~phases =
+  List.concat_map
+    (fun (sk, _) ->
+      List.concat_map
+        (fun phase -> List.map (fun slot -> Ots.reveal sk ~phase slot) all_slots)
+        (List.init phases (fun i -> i + 1)))
+    (Array.to_list keys)
+
+let test_ots_domains_agree () =
+  let phases = 6 in
+  let here = all_proofs (group ~seed:77 ~n:4 ~phases) ~phases in
+  let there = Domain.join (Domain.spawn (fun () -> all_proofs (group ~seed:77 ~n:4 ~phases) ~phases)) in
+  Alcotest.(check (list bytes)) "spawned domain derives the same proofs" here there;
+  (* one shared table filled from two domains at once *)
+  let shared = group ~seed:77 ~n:4 ~phases in
+  let other = Domain.spawn (fun () -> all_proofs shared ~phases) in
+  let mine = all_proofs shared ~phases in
+  Alcotest.(check (list bytes)) "racing fills agree" mine (Domain.join other);
+  Alcotest.(check (list bytes)) "and match a fresh derivation" here mine
+
+(* The VK exchange of Section 6.1, run for real once: each party signs
+   the digest of its VK array with its RSA key; a receiver decodes the
+   array, recomputes the digest and verifies it under the sender's
+   public key before trusting any proof against it. *)
+let test_ots_vk_exchange_ceremony () =
+  let n = 3 and phases = 4 in
+  let rng = Util.Rng.create ~seed:88L in
+  let keys = Util.Init.array n (fun owner -> Ots.generate rng ~owner ~phases) in
+  let rsa = Util.Init.array n (fun _ -> Crypto.Rsa.generate rng ~bits:512) in
+  let shipped =
+    Array.mapi
+      (fun i (_, vk) ->
+        let wire = Ots.verifier_to_bytes vk in
+        (wire, Crypto.Rsa.sign rsa.(i).Crypto.Rsa.sec (Ots.verifier_digest vk)))
+      keys
+  in
+  let accepts ~by wire signature =
+    let received = Ots.verifier_of_bytes wire in
+    Crypto.Rsa.verify rsa.(by).Crypto.Rsa.pub (Ots.verifier_digest received) ~signature
+  in
+  Array.iteri
+    (fun i (wire, signature) ->
+      Alcotest.(check bool) "genuine VK array verifies" true (accepts ~by:i wire signature);
+      let received = Ots.verifier_of_bytes wire in
+      let proof = Ots.reveal (fst keys.(i)) ~phase:phases Ots.S_bot in
+      Alcotest.(check bool) "received VKs check proofs" true
+        (Ots.check received ~phase:phases Ots.S_bot ~proof);
+      let flipped = Bytes.copy wire in
+      let at = Bytes.length wire - 1 - i in
+      Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 1));
+      Alcotest.(check bool) "flipped byte rejected" false (accepts ~by:i flipped signature);
+      Alcotest.(check bool) "other party's key rejected" false
+        (accepts ~by:((i + 1) mod n) wire signature))
+    shipped
+
 (* --- Shamir -------------------------------------------------------------------- *)
 
 let small_q = Znum.of_string "2147483647" (* 2^31 - 1, prime *)
@@ -433,6 +578,11 @@ let suite =
       Alcotest.test_case "ots phase bounds" `Quick test_ots_phase_bounds;
       Alcotest.test_case "ots serialization" `Quick test_ots_serialization;
       Alcotest.test_case "ots slot indexing" `Quick test_ots_slot_indexing;
+      QCheck_alcotest.to_alcotest qcheck_ots_lazy_proofs;
+      QCheck_alcotest.to_alcotest qcheck_ots_horizon;
+      QCheck_alcotest.to_alcotest qcheck_keyring_slice;
+      Alcotest.test_case "ots domains agree" `Quick test_ots_domains_agree;
+      Alcotest.test_case "ots vk exchange ceremony" `Quick test_ots_vk_exchange_ceremony;
       Alcotest.test_case "shamir reconstruct" `Quick test_shamir_reconstruct;
       Alcotest.test_case "shamir insufficient" `Quick test_shamir_insufficient_shares_wrong;
       Alcotest.test_case "shamir threshold 1" `Quick test_shamir_threshold_one;

@@ -1,5 +1,5 @@
 (* The hot-path contract (frame interning, proof-digest memoization,
-   shared key material, encode-once, SHA-256 fast path, Vset tallies):
+   seed-derived key material, encode-once, SHA-256 fast path, Vset tallies):
    the fast path may change wall-clock time only, never a simulated
    result. Every test here compares the memoized world against the
    plain one, or an incremental structure against its naive
@@ -313,16 +313,29 @@ let test_vset_tallies_match_naive_recount () =
     done
   done
 
-(* --- key material cache ----------------------------------------------------- *)
+(* --- seed-derived key material ----------------------------------------------- *)
 
-let test_key_cache_shares_and_separates () =
-  Harness.Runner.clear_key_cache ();
+let test_keyrings_seed_derived () =
+  let proofs rings =
+    List.concat_map
+      (fun phase ->
+        List.concat_map
+          (fun (value, origin) ->
+            List.map
+              (fun kr -> Core.Keyring.sign kr ~phase ~value ~origin)
+              (Array.to_list rings))
+          [ (P.V0, P.Deterministic); (P.V1, P.Random); (P.Vbot, P.Deterministic) ])
+      [ 1; 2; 3; 4 ]
+  in
   let a = Harness.Runner.keyrings_for ~seed:123L ~n:2 ~phases:4 in
   let b = Harness.Runner.keyrings_for ~seed:123L ~n:2 ~phases:4 in
-  Alcotest.(check bool) "same coordinates share one array" true (a == b);
+  Alcotest.(check (list bytes)) "same seed, byte-identical proofs" (proofs a) (proofs b);
   let c = Harness.Runner.keyrings_for ~seed:124L ~n:2 ~phases:4 in
-  Alcotest.(check bool) "different seed, different material" true (c != a);
-  Harness.Runner.clear_key_cache ()
+  let proof = Core.Keyring.sign a.(0) ~phase:2 ~value:P.V1 ~origin:P.Deterministic in
+  Alcotest.(check bool) "accepted under its own keys" true
+    (Core.Keyring.check b.(1) ~signer:0 ~phase:2 ~value:P.V1 ~origin:P.Deterministic ~proof);
+  Alcotest.(check bool) "rejected under another seed's keys" false
+    (Core.Keyring.check c.(1) ~signer:0 ~phase:2 ~value:P.V1 ~origin:P.Deterministic ~proof)
 
 let suite =
   ( "hotpath",
@@ -348,5 +361,5 @@ let suite =
       Alcotest.test_case "sha256 digest not aliased" `Quick test_sha256_digest_not_aliased;
       Alcotest.test_case "encode scratch fresh" `Quick test_encode_scratch_returns_fresh_bytes;
       Alcotest.test_case "vset tallies" `Quick test_vset_tallies_match_naive_recount;
-      Alcotest.test_case "key cache" `Quick test_key_cache_shares_and_separates;
+      Alcotest.test_case "keyrings seed-derived" `Quick test_keyrings_seed_derived;
     ] )

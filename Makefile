@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check bench bench-json bench-baseline bench-compare causal-smoke pool-smoke memo-smoke compact-smoke modelcheck-smoke workload-smoke scale-smoke chaos clean
+.PHONY: all build test fmt check bench bench-baseline bench-compare causal-smoke pool-smoke equiv-smoke compact-smoke modelcheck-smoke workload-smoke scale-smoke chaos clean
 
 all: build
 
@@ -25,24 +25,29 @@ chaos:
 pool-smoke:
 	dune exec bin/turquois_lab.exe -- sigma --size 4 --runs 2 --rounds 40 -j 2 > /dev/null
 
-# memo smoke: the hot-path contract — every result must be bit-identical
-# with the single-run memoization off and on (exits non-zero otherwise)
-memo-smoke:
-	dune exec bin/turquois_lab.exe -- memocheck --quiet
+# equivalence smoke: the two fast-path contracts — every result must be
+# bit-identical with the hot-path memoization off and on, and every
+# scenario must reach the same decisions with delta-compressed
+# justification bundles off and on (exits non-zero otherwise)
+equiv-smoke:
+	dune exec bin/turquois_lab.exe -- equivcheck --quiet
 
-# compact smoke: the wire-compression contract — every scenario must
-# reach the same decisions with delta-compressed justification bundles
-# off and on (exits non-zero otherwise), and a small sweep that includes
-# the compact Turquois hot path must stay bit-identical at -j 1 / -j 2
+# $(call same-at-j,NAME,ARGS): run `turquois_lab ARGS` at -j 1 and at
+# -j 2 and fail unless the two stdouts are byte-identical (write a comma
+# inside ARGS as $(comma))
+comma := ,
+define same-at-j
+	dune exec bin/turquois_lab.exe -- $(2) -j 1 > /tmp/turquois_$(1)_j1.txt
+	dune exec bin/turquois_lab.exe -- $(2) -j 2 > /tmp/turquois_$(1)_j2.txt
+	cmp /tmp/turquois_$(1)_j1.txt /tmp/turquois_$(1)_j2.txt \
+	  || { echo "$(1) smoke failed: -j 1 and -j 2 runs diverged"; exit 1; }
+	rm -f /tmp/turquois_$(1)_j1.txt /tmp/turquois_$(1)_j2.txt
+endef
+
+# compact smoke: a small sweep that includes the compact Turquois hot
+# path must stay bit-identical at -j 1 / -j 2
 compact-smoke:
-	dune exec bin/turquois_lab.exe -- compactcheck --quiet
-	dune exec bin/turquois_lab.exe -- scaling --sizes 16 --turquois-cap 16 \
-	  --radio-cap 16 -j 1 > /tmp/turquois_compact_j1.txt
-	dune exec bin/turquois_lab.exe -- scaling --sizes 16 --turquois-cap 16 \
-	  --radio-cap 16 -j 2 > /tmp/turquois_compact_j2.txt
-	cmp /tmp/turquois_compact_j1.txt /tmp/turquois_compact_j2.txt \
-	  || { echo "compact smoke failed: -j 1 and -j 2 sweeps diverged"; exit 1; }
-	rm -f /tmp/turquois_compact_j1.txt /tmp/turquois_compact_j2.txt
+	$(call same-at-j,compact,scaling --sizes 16 --turquois-cap 16 --radio-cap 16)
 
 # causal smoke: export a traced sigma-edge run and make sure the causal
 # analyzer reconstructs tagged sends from it end to end
@@ -61,56 +66,34 @@ causal-smoke:
 # no timing), and its extracted worst-case schedule must replay (run
 # --replay exits 0 iff the artifact reproduces its recorded outcome)
 modelcheck-smoke:
-	dune exec bin/turquois_lab.exe -- modelcheck -n 4 --rounds 2 --quiet -j 1 \
-	  --out /tmp/turquois_mc_smoke.json > /tmp/turquois_mc_j1.txt
-	dune exec bin/turquois_lab.exe -- modelcheck -n 4 --rounds 2 --quiet -j 2 \
-	  --out /tmp/turquois_mc_smoke.json > /tmp/turquois_mc_j2.txt
-	cmp /tmp/turquois_mc_j1.txt /tmp/turquois_mc_j2.txt \
-	  || { echo "modelcheck smoke failed: -j 1 and -j 2 walks diverged"; exit 1; }
+	$(call same-at-j,modelcheck,modelcheck -n 4 --rounds 2 --quiet --out /tmp/turquois_mc_smoke.json)
 	dune exec bin/turquois_lab.exe -- run --replay /tmp/turquois_mc_smoke.json \
 	  > /dev/null \
 	  || { echo "modelcheck smoke failed: worst-case schedule did not replay"; exit 1; }
-	rm -f /tmp/turquois_mc_smoke.json /tmp/turquois_mc_j1.txt /tmp/turquois_mc_j2.txt
+	rm -f /tmp/turquois_mc_smoke.json
 
 # workload smoke: a small consensus-service sweep must be bit-identical
 # at -j 1 and -j 2 (open-loop arrivals, batching and straggler catch-up
 # all run through the deterministic engine, so any divergence is a
 # determinism bug in the new code paths)
 workload-smoke:
-	dune exec bin/turquois_lab.exe -- workload --load 20,60 -r 2 -j 1 \
-	  > /tmp/turquois_wl_j1.txt
-	dune exec bin/turquois_lab.exe -- workload --load 20,60 -r 2 -j 2 \
-	  > /tmp/turquois_wl_j2.txt
-	cmp /tmp/turquois_wl_j1.txt /tmp/turquois_wl_j2.txt \
-	  || { echo "workload smoke failed: -j 1 and -j 2 sweeps diverged"; exit 1; }
-	rm -f /tmp/turquois_wl_j1.txt /tmp/turquois_wl_j2.txt
+	$(call same-at-j,workload,workload --load 20$(comma)60 -r 2)
 
 # scale smoke: the n=64 sampled-consensus scaling point must be
 # bit-identical at -j 1 and -j 2 (the rendered table excludes the one
 # host-dependent field, so cmp is exact)
 scale-smoke:
-	dune exec bin/turquois_lab.exe -- scaling --sizes 64 --turquois-cap 0 -j 1 \
-	  > /tmp/turquois_scale_j1.txt
-	dune exec bin/turquois_lab.exe -- scaling --sizes 64 --turquois-cap 0 -j 2 \
-	  > /tmp/turquois_scale_j2.txt
-	cmp /tmp/turquois_scale_j1.txt /tmp/turquois_scale_j2.txt \
-	  || { echo "scale smoke failed: -j 1 and -j 2 sweeps diverged"; exit 1; }
-	rm -f /tmp/turquois_scale_j1.txt /tmp/turquois_scale_j2.txt
+	$(call same-at-j,scale,scaling --sizes 64 --turquois-cap 0)
 
 # the gate a PR must pass: formatting, a warning-clean build, all tests,
-# the chaos smoke sweep, the parallel-pool smoke, the memo smoke, the
-# compact-wire smoke, the causal-trace smoke, the model-checker smoke,
-# the workload smoke, the scaling smoke and the perf regression gate
-check: fmt build test chaos pool-smoke memo-smoke compact-smoke causal-smoke modelcheck-smoke workload-smoke scale-smoke bench-compare
+# the chaos smoke sweep, the parallel-pool smoke, the fast-path
+# equivalence smoke, the compact-wire smoke, the causal-trace smoke, the
+# model-checker smoke, the workload smoke, the scaling smoke and the
+# perf regression gate
+check: fmt build test chaos pool-smoke equiv-smoke compact-smoke causal-smoke modelcheck-smoke workload-smoke scale-smoke bench-compare
 
 bench:
 	dune exec bench/main.exe -- --quick
-
-# regenerate the committed hot-path wall-clock baseline; the bench
-# itself fails if memoized and unmemoized results diverge, so this
-# doubles as the perf regression gate
-bench-json:
-	dune exec bench/main.exe -- --hotpath-baseline BENCH_pr5.json
 
 # regenerate the committed regression-gate baseline (run on the machine
 # that will run bench-compare; wall-clock sections are host-dependent)

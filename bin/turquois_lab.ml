@@ -5,7 +5,8 @@
      sigma      — sweep the omission budget around the liveness bound
      phases     — decision-phase distributions (paper 7.3)
      run        — one verbose consensus execution (or replay a saved reproducer)
-     modelcheck — exhaustively check all adversary schedules of a small group *)
+     modelcheck — exhaustively check all adversary schedules of a small group
+     equivcheck — the memo and compact-wire equivalence gate *)
 
 open Cmdliner
 
@@ -19,31 +20,7 @@ let load_of_table = function
   | 3 -> Net.Fault.Byzantine
   | t -> invalid_arg (Printf.sprintf "no table %d (1, 2 or 3)" t)
 
-(* Every experiment command takes the two wire/hot-path escape hatches
-   as one bundled term, so adding a flag here reaches all of them. *)
-let flags_arg =
-  let memo_doc =
-    "Disable the single-run hot-path memoization (frame interning, proof-digest \
-     cache, shared pre-distributed key material). Results are bit-identical \
-     either way; this escape hatch only trades speed for simplicity when \
-     timing or debugging the receive path."
-  in
-  let compact_doc =
-    "Disable delta-compressed justification bundles: every frame carries its \
-     justification messages in full instead of 8-byte back-references to \
-     messages already shipped this phase. Decisions are unaffected (see \
-     $(b,compactcheck)); frames get larger, so contended-radio timings shift."
-  in
-  let memo = Arg.(value & flag & info [ "no-memo" ] ~doc:memo_doc) in
-  let compact = Arg.(value & flag & info [ "no-compact" ] ~doc:compact_doc) in
-  Term.(const (fun no_memo no_compact -> (no_memo, no_compact)) $ memo $ compact)
-
-let apply_flags (no_memo, no_compact) =
-  Core.Intern.set_enabled (not no_memo);
-  Core.Intern.set_compact (not no_compact)
-
-let run_tables tables reps sizes seed timeout compare quiet jobs flags =
-  apply_flags flags;
+let run_tables tables reps sizes seed timeout compare quiet jobs =
   let options =
     {
       Harness.Experiment.default_options with
@@ -104,20 +81,19 @@ let jobs_arg =
   Arg.(value & opt int (Harness.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let tables_cmd =
-  let make tables reps sizes seed timeout compare quiet jobs flags =
+  let make tables reps sizes seed timeout compare quiet jobs =
     let tables = match tables with [] -> [ 1; 2; 3 ] | l -> l in
-    run_tables tables reps sizes seed timeout compare quiet jobs flags
+    run_tables tables reps sizes seed timeout compare quiet jobs
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate the paper's latency tables (Tables 1-3)")
     Term.(
       const make $ tables_arg $ reps_arg 50 $ sizes_arg $ seed_arg $ timeout_arg
-      $ compare_arg $ quiet_arg $ jobs_arg $ flags_arg)
+      $ compare_arg $ quiet_arg $ jobs_arg)
 
 (* --- sigma ---------------------------------------------------------------- *)
 
-let run_sigma n k byz runs rounds beyond seed jobs flags =
-  apply_flags flags;
+let run_sigma n k byz runs rounds beyond seed jobs =
   let k = match k with Some k -> k | None -> n - Net.Fault.max_f n in
   let byzantine = List.init byz (fun i -> n - 1 - i) in
   let rows =
@@ -150,12 +126,11 @@ let sigma_cmd =
     (Cmd.info "sigma" ~doc:"Sweep omissions per round around the sigma liveness bound")
     Term.(
       const run_sigma $ n_arg $ k_arg $ byz_arg $ runs_arg $ rounds_arg $ beyond_arg
-      $ seed_arg $ jobs_arg $ flags_arg)
+      $ seed_arg $ jobs_arg)
 
 (* --- phases ---------------------------------------------------------------- *)
 
-let run_phases n reps seed jobs flags =
-  apply_flags flags;
+let run_phases n reps seed jobs =
   let rows =
     Harness.Sweeps.phase_distribution ~n ~reps ~base_seed:seed ~jobs
       ~loads:[ Net.Fault.Failure_free; Net.Fault.Byzantine ] ()
@@ -167,7 +142,7 @@ let phases_cmd =
   let n_arg = Arg.(value & opt int 10 & info [ "n"; "size" ] ~docv:"N" ~doc:"Group size.") in
   Cmd.v
     (Cmd.info "phases" ~doc:"Turquois decision-phase distributions (paper 7.3)")
-    Term.(const run_phases $ n_arg $ reps_arg 30 $ seed_arg $ jobs_arg $ flags_arg)
+    Term.(const run_phases $ n_arg $ reps_arg 30 $ seed_arg $ jobs_arg)
 
 (* --- messages ---------------------------------------------------------------- *)
 
@@ -253,18 +228,13 @@ let run_replay file =
       end
 
 let run_single replay protocol n divergent load seed loss trace metrics trace_json profile
-    sigma_edge jobs flags =
-  apply_flags flags;
+    sigma_edge =
   match replay with
   | Some file -> run_replay file
   | None ->
   let dist = if divergent then Harness.Runner.Divergent else Harness.Runner.Unanimous in
   let conditions = { Net.Fault.benign_conditions with loss_prob = loss } in
-  (* trace buffers are domain-local, so a meaningful event order only
-     exists on one domain: tracing forces -j 1 *)
-  if (trace || trace_json <> None) && jobs <> 1 then
-    Printf.eprintf "  tracing active: forcing -j 1 (trace buffers are domain-local)\n%!";
-  if trace || trace_json <> None then Net.Trace.start ();
+  if trace || trace_json <> None then Obs.Trace2.start ();
   if profile then Obs.Prof.enable ();
   let attach =
     if not sigma_edge then None
@@ -309,12 +279,12 @@ let run_single replay protocol n divergent load seed loss trace metrics trace_js
       let written = Obs.Trace2.export_file file in
       Printf.printf "\nwrote %d trace events to %s\n" written file);
   if trace then begin
-    Net.Trace.stop ();
+    Obs.Trace2.stop ();
     print_endline "\n--- protocol-level trace (radio tx suppressed; use the Trace API for all) ---";
     print_string
-      (Net.Trace.render ~filter:(fun e -> e.Net.Trace.layer <> "radio") ~max_events:400 ())
+      (Obs.Trace2.render ~filter:(fun e -> e.Obs.Trace2.layer <> "radio") ~max_events:400 ())
   end
-  else if trace_json <> None then Net.Trace.stop ();
+  else if trace_json <> None then Obs.Trace2.stop ();
   0
 
 let run_cmd =
@@ -371,7 +341,7 @@ let run_cmd =
     Term.(
       const run_single $ replay_arg $ protocol_arg $ n_arg $ divergent_arg $ load_arg
       $ seed_arg $ loss_arg $ trace_arg $ metrics_arg $ trace_json_arg $ profile_arg
-      $ sigma_edge_arg $ jobs_arg $ flags_arg)
+      $ sigma_edge_arg)
 
 (* --- chaos ------------------------------------------------------------------ *)
 
@@ -436,8 +406,7 @@ let write_repro dir ~n ~bug (f : Harness.Chaos.failure) =
   Model.Codec.save path artifact;
   Printf.printf "  wrote reproducer %s (replay: turquois_lab run --replay %s)\n" path path
 
-let run_chaos runs seed n strategy broken with_sampled repro_out quiet jobs flags =
-  apply_flags flags;
+let run_chaos runs seed n strategy broken with_sampled repro_out quiet jobs =
   let log = if quiet then fun _ -> () else progress in
   let bug = if broken then Harness.Chaos.Flip_reported_decision else Harness.Chaos.No_bug in
   let protocols =
@@ -506,35 +475,28 @@ let chaos_cmd =
        ~doc:"Randomized fault-injection runs with safety/liveness invariant checking")
     Term.(
       const run_chaos $ runs_arg $ seed_arg $ n_arg $ strategy_arg $ broken_arg
-      $ with_sampled_arg $ repro_out_arg $ quiet_arg $ jobs_arg $ flags_arg)
+      $ with_sampled_arg $ repro_out_arg $ quiet_arg $ jobs_arg)
 
-(* --- memocheck --------------------------------------------------------------- *)
+(* --- equivcheck --------------------------------------------------------------- *)
 
-(* Fast equivalence smoke for the hot-path contract: a run per Byzantine
-   strategy, a small sigma sweep and a small chaos plan, each executed
-   with memoization off and then on. Any difference between the two
-   passes is a fast-path bug; the memo instrumentation counters are the
-   only series excluded from the comparison, since only the memoized
-   pass emits them. *)
-let run_memocheck seed quiet =
-  let diverged = ref [] in
-  let check name equal =
-    if equal then begin
-      if not quiet then Printf.printf "  ok: %s\n%!" name
-    end
-    else begin
-      diverged := name :: !diverged;
-      Printf.printf "  DIVERGED: %s\n%!" name
-    end
+(* The equivalence gate for the two switchable fast paths. Every
+   scenario runs twice, with the switch off and then on (the ABBA key
+   cache is dropped before each pass so both start cold), and the two
+   results are compared under that switch's contract. *)
+let off_and_on with_switch f =
+  let pass on =
+    with_switch on (fun () ->
+        Harness.Runner.clear_key_cache ();
+        f ())
   in
-  let both f =
-    let pass memo =
-      Core.Intern.with_memo memo (fun () ->
-          Harness.Runner.clear_key_cache ();
-          f ())
-    in
-    (pass false, pass true)
-  in
+  (pass false, pass true)
+
+(* Memoization (frame interning, proof-digest memo) may only change
+   wall-clock time: every result must be bit-identical. The memo
+   instrumentation counters are the only series excluded from the
+   comparison, since only the memoized pass emits them. *)
+let memo_scenarios ~seed check =
+  let both f = off_and_on Core.Intern.with_memo f in
   let strip (r : Harness.Runner.result) =
     { r with metrics = Core.Intern.strip_metrics r.metrics }
   in
@@ -567,77 +529,35 @@ let run_memocheck seed quiet =
         Harness.Workload.run
           { (Harness.Workload.default ~n:4) with Harness.Workload.seed })
   in
-  check "consensus-service workload" (wl_off = wl_on);
-  if !diverged = [] then begin
-    Printf.printf "memocheck: results identical with memoization off and on\n";
-    0
-  end
-  else begin
-    Printf.printf "memocheck: %d divergence(s): %s\n" (List.length !diverged)
-      (String.concat ", " (List.rev !diverged));
-    1
-  end
+  check "consensus-service workload" (wl_off = wl_on)
 
-let memocheck_cmd =
-  Cmd.v
-    (Cmd.info "memocheck"
-       ~doc:
-         "Verify the hot-path contract: every result is bit-identical with \
-          memoization off and on")
-    Term.(const run_memocheck $ seed_arg $ quiet_arg)
-
-(* --- compactcheck ------------------------------------------------------------ *)
-
-(* Equivalence gate for the delta-compressed wire format: the same
-   scenarios executed with compact bundles off and on must reach the
-   same decisions. Compact frames are shorter, so medium occupancy —
-   and with it latencies, phase counts and traffic totals — shifts;
-   what must NOT change is the consensus outcome itself: which correct
-   processes decide, what they decide, and that agreement and validity
-   hold. A divergence here means a justification back-reference
-   resolved to the wrong message (or silently dropped a vote that
-   mattered), which is exactly the §5e-style safety regression the
-   compression must never introduce. *)
-let run_compactcheck seed quiet =
-  let diverged = ref [] in
-  let check name equal =
-    if equal then begin
-      if not quiet then Printf.printf "  ok: %s\n%!" name
-    end
-    else begin
-      diverged := name :: !diverged;
-      Printf.printf "  DIVERGED: %s\n%!" name
-    end
-  in
-  let both f =
-    let pass compact =
-      Core.Intern.with_compact compact (fun () ->
-          Harness.Runner.clear_key_cache ();
-          f ())
-    in
-    (pass false, pass true)
-  in
+(* Delta-compressed justification bundles make frames shorter, so
+   medium occupancy — and with it latencies, phase counts and traffic
+   totals — shifts. What must NOT change is the consensus outcome:
+   which correct processes decide, what they decide, agreement,
+   validity and timeouts. A divergence means a justification
+   back-reference resolved to the wrong message (or silently dropped a
+   vote that mattered). *)
+let compact_scenarios ~seed check =
+  let both f = off_and_on Core.Intern.with_compact f in
   let outcome (r : Harness.Runner.result) =
     (List.sort compare r.decisions, List.sort compare r.correct,
      r.agreement, r.validity, r.timed_out)
   in
-  let run ~n ~load ?strategy ~seed () =
+  let run ~n ~load ?strategy () =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n
       ~dist:Harness.Runner.Divergent ~load ?strategy ~seed ()
   in
   List.iter
     (fun strategy ->
-      let off, on =
-        both (fun () ->
-            run ~n:4 ~load:Net.Fault.Byzantine ~strategy ~seed ())
-      in
+      let off, on = both (fun () -> run ~n:4 ~load:Net.Fault.Byzantine ~strategy ()) in
       check
         (Printf.sprintf "byzantine strategy %s" (Core.Strategy.name strategy))
         (outcome off = outcome on))
     Core.Strategy.all;
   List.iter
     (fun (name, n, load) ->
-      let off, on = both (fun () -> run ~n ~load ~seed ()) in
+      let off, on = both (fun () -> run ~n ~load ()) in
       check (Printf.sprintf "%s n=%d" name n) (outcome off = outcome on))
     [
       ("failure-free", 4, Net.Fault.Failure_free);
@@ -648,26 +568,42 @@ let run_compactcheck seed quiet =
   let chaos_off, chaos_on =
     both (fun () -> Harness.Chaos.run_chaos ~n:4 ~runs:6 ~jobs:1 ~seed ())
   in
-  check "chaos plan invariants" (chaos_off = chaos_on);
+  check "chaos plan invariants" (chaos_off = chaos_on)
+
+let run_equivcheck seed quiet =
+  let diverged = ref [] in
+  let check gate name equal =
+    let name = gate ^ ": " ^ name in
+    if equal then begin
+      if not quiet then Printf.printf "  ok: %s\n%!" name
+    end
+    else begin
+      diverged := name :: !diverged;
+      Printf.printf "  DIVERGED: %s\n%!" name
+    end
+  in
+  memo_scenarios ~seed (check "memo");
+  compact_scenarios ~seed (check "compact");
   if !diverged = [] then begin
     Printf.printf
-      "compactcheck: decisions identical with compact bundles off and on\n";
+      "equivcheck: results identical with memoization off and on, decisions \
+       identical with compact bundles off and on\n";
     0
   end
   else begin
-    Printf.printf "compactcheck: %d divergence(s): %s\n" (List.length !diverged)
+    Printf.printf "equivcheck: %d divergence(s): %s\n" (List.length !diverged)
       (String.concat ", " (List.rev !diverged));
     1
   end
 
-let compactcheck_cmd =
+let equivcheck_cmd =
   Cmd.v
-    (Cmd.info "compactcheck"
+    (Cmd.info "equivcheck"
        ~doc:
-         "Verify the wire-compression contract: every scenario reaches the \
-          same decisions with delta-compressed justification bundles off and \
-          on")
-    Term.(const run_compactcheck $ seed_arg $ quiet_arg)
+         "Verify the fast-path contracts: every result is bit-identical with \
+          memoization off and on, and every scenario reaches the same decisions \
+          with delta-compressed justification bundles off and on")
+    Term.(const run_equivcheck $ seed_arg $ quiet_arg)
 
 (* --- workload ---------------------------------------------------------------- *)
 
@@ -690,8 +626,7 @@ let arrival_conv =
   Arg.conv (parse, print)
 
 let run_workload n capacity window max_batch loads arrival commands cmd_bytes loss reps seed
-    timeout jobs flags =
-  apply_flags flags;
+    timeout jobs =
   match
     let base =
     {
@@ -780,12 +715,11 @@ let workload_cmd =
     Term.(
       const run_workload $ n_arg $ capacity_arg $ window_arg $ max_batch_arg $ loads_arg
       $ arrival_arg $ commands_arg $ cmd_bytes_arg $ loss_arg $ reps_arg 3 $ seed_arg
-      $ timeout_arg $ jobs_arg $ flags_arg)
+      $ timeout_arg $ jobs_arg)
 
 (* --- scaling ------------------------------------------------------------------ *)
 
-let run_scaling sizes turquois_cap radio_cap timeout seed jobs flags =
-  apply_flags flags;
+let run_scaling sizes turquois_cap radio_cap timeout seed jobs =
   match
     Harness.Scaling.sweep ~jobs ~ns:sizes ~turquois_cap ~radio_cap ~timeout ~seed ()
   with
@@ -827,13 +761,12 @@ let scaling_cmd =
           high-water marks per point")
     Term.(
       const run_scaling $ sizes_arg $ turquois_cap_arg $ radio_cap_arg
-      $ timeout_arg $ seed_arg $ jobs_arg $ flags_arg)
+      $ timeout_arg $ seed_arg $ jobs_arg)
 
 (* --- modelcheck -------------------------------------------------------------- *)
 
 let run_modelcheck n k byz budget exact rounds strategies divergent seed jobs max_states out
-    quiet flags =
-  apply_flags flags;
+    quiet =
   let log = if quiet then fun _ -> () else progress in
   let byzantine = Option.map (fun t -> List.init t (fun i -> n - 1 - i)) byz in
   let dist = if divergent then Some Harness.Runner.Divergent else None in
@@ -950,7 +883,7 @@ let modelcheck_cmd =
     Term.(
       const run_modelcheck $ n_arg $ k_arg $ byz_arg $ budget_arg $ exact_arg $ rounds_arg
       $ strategies_arg $ divergent_arg $ seed_arg $ jobs_arg $ max_states_arg $ out_arg
-      $ quiet_arg $ flags_arg)
+      $ quiet_arg)
 
 (* --- analyze ---------------------------------------------------------------- *)
 
@@ -1041,8 +974,7 @@ let main_cmd =
       workload_cmd;
       scaling_cmd;
       chaos_cmd;
-      memocheck_cmd;
-      compactcheck_cmd;
+      equivcheck_cmd;
       modelcheck_cmd;
       analyze_cmd;
     ]

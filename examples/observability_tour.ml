@@ -18,12 +18,12 @@ let () =
      Runner.run resets the metrics registry and clears the trace at the
      start of the repetition (Obs.Scope.with_run), so everything below
      belongs to exactly this run. *)
-  Net.Trace.start ();
+  Obs.Trace2.start ();
   let result =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n
       ~dist:Harness.Runner.Divergent ~load:Net.Fault.Fail_stop ~seed ()
   in
-  Net.Trace.stop ();
+  Obs.Trace2.stop ();
 
   Printf.printf "Turquois n=%d divergent fail-stop (seed %Ld): %d/%d decided in %.1f ms\n\n"
     n seed

@@ -31,24 +31,20 @@
 
 let enabled_flag = Atomic.make true
 let enabled () = Atomic.get enabled_flag
-let set_enabled v = Atomic.set enabled_flag v
 
-let with_memo flag f =
-  let previous = enabled () in
-  set_enabled flag;
-  Fun.protect ~finally:(fun () -> set_enabled previous) f
-
-(* Delta-compressed justification bundles ([--no-compact] escape
-   hatch). A sender-side switch only: receivers always accept both wire
-   formats, so flipping it never strands in-flight frames. *)
+(* Delta-compressed justification bundles. A sender-side switch only:
+   receivers always accept both wire formats, so flipping it never
+   strands in-flight frames. *)
 let compact_flag = Atomic.make true
 let compact_enabled () = Atomic.get compact_flag
-let set_compact v = Atomic.set compact_flag v
 
-let with_compact flag f =
-  let previous = compact_enabled () in
-  set_compact flag;
-  Fun.protect ~finally:(fun () -> set_compact previous) f
+let with_flag flag value f =
+  let previous = Atomic.get flag in
+  Atomic.set flag value;
+  Fun.protect ~finally:(fun () -> Atomic.set flag previous) f
+
+let with_memo value f = with_flag enabled_flag value f
+let with_compact value f = with_flag compact_flag value f
 
 type caches = {
   decodes : (bytes, Message.wire) Hashtbl.t;

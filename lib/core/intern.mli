@@ -13,24 +13,23 @@
     boundary via {!Obs.Scope.at_run_start}. *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
-(** Global escape hatch ([--no-memo] on the CLI; default on). Flip it
-    only between runs, from the coordinating domain. *)
+(** Whether the memo tables are in use (default on). *)
 
 val with_memo : bool -> (unit -> 'a) -> 'a
-(** Runs the thunk with the switch forced to the given value, restoring
-    the previous setting afterwards (also on exceptions). *)
+(** Runs the thunk with memoization forced to the given value,
+    restoring the previous setting afterwards (also on exceptions).
+    Only the equivalence gate and the tests switch it off. Call it only
+    between runs, from the coordinating domain. *)
 
 val compact_enabled : unit -> bool
-val set_compact : bool -> unit
 (** Sender-side switch for delta-compressed justification bundles
-    ([--no-compact] on the CLI; default on). Receivers accept both wire
-    formats regardless, so flipping it never strands in-flight frames.
-    Flip only between runs, from the coordinating domain. *)
+    (default on). Receivers accept both wire formats regardless, so
+    flipping it never strands in-flight frames. *)
 
 val with_compact : bool -> (unit -> 'a) -> 'a
 (** Runs the thunk with the compact switch forced to the given value,
-    restoring the previous setting afterwards (also on exceptions). *)
+    restoring the previous setting afterwards (also on exceptions).
+    Same callers and discipline as {!with_memo}. *)
 
 val decode_wire : bytes -> Message.wire
 (** {!Message.decode_wire} through the payload memo (verbatim fallback

@@ -63,10 +63,27 @@ let field_to_string = function
   | B b -> if b then "true" else "false"
 
 let fields_to_string fields =
-  String.concat " "
-    (List.map
-       (fun (k, v) -> if k = "detail" then field_to_string v else k ^ "=" ^ field_to_string v)
-       fields)
+  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ field_to_string v) fields)
+
+let render ?(filter = fun _ -> true) ?(max_events = max_int) () =
+  let matched = List.filter filter (events ()) in
+  let buf = Buffer.create 4096 in
+  let shown = ref 0 in
+  List.iter
+    (fun e ->
+      if !shown < max_events then begin
+        incr shown;
+        Buffer.add_string buf
+          (Printf.sprintf "%10.6f  %-4s %-8s %-12s %s\n" e.time
+             (if e.node >= 0 then Printf.sprintf "p%d" e.node else "-")
+             e.layer e.label (fields_to_string e.fields))
+      end)
+    matched;
+  let more = List.length matched - !shown in
+  let sink_dropped = dropped () in
+  if more > 0 || sink_dropped > 0 then
+    Buffer.add_string buf (Printf.sprintf "(+%d more, %d dropped)\n" more sink_dropped);
+  Buffer.contents buf
 
 (* --- JSONL --------------------------------------------------------------- *)
 

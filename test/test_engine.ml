@@ -150,6 +150,66 @@ let test_heap_stress () =
   Net.Engine.run engine;
   Alcotest.(check int) "monotone" 0 !violations
 
+(* The heap against a sorted-list model: random schedule / cancel /
+   partial-run programs must fire the same events in the same order,
+   with the same clock and live count after every step. Quantized
+   delays force exact ties (FIFO by scheduling order); cancels hit
+   queued, fired and already-cancelled events alike. *)
+let qcheck_matches_sorted_model =
+  let program ops =
+    let engine = Net.Engine.create () in
+    let fired = ref [] and handles = ref [] in
+    (* the model: queued (time, seq) pairs, cancelled seqs, clock *)
+    let queued = ref [] and cancelled = Hashtbl.create 16 in
+    let clock = ref 0.0 and model_fired = ref [] in
+    let model_run until =
+      let rec go () =
+        match List.sort compare !queued with
+        | (time, seq) :: rest when time <= until ->
+            queued := rest;
+            if not (Hashtbl.mem cancelled seq) then begin
+              clock := time;
+              model_fired := seq :: !model_fired
+            end;
+            go ()
+        | _ -> ()
+      in
+      go ()
+    in
+    let model_live () =
+      List.length (List.filter (fun (_, seq) -> not (Hashtbl.mem cancelled seq)) !queued)
+    in
+    let steps =
+      List.mapi
+        (fun seq (op, a) ->
+          (match op mod 4 with
+          | 0 | 1 ->
+              let delay = float_of_int (a mod 16) *. 0.25 in
+              let h = Net.Engine.schedule engine ~delay (fun () -> fired := seq :: !fired) in
+              handles := !handles @ [ (seq, h) ];
+              queued := (!clock +. delay, seq) :: !queued
+          | 2 when !handles <> [] ->
+              let victim, h = List.nth !handles (a mod List.length !handles) in
+              Net.Engine.cancel engine h;
+              Hashtbl.replace cancelled victim ()
+          | _ ->
+              let horizon = float_of_int (a mod 8) *. 0.5 in
+              Net.Engine.run ~until:(Net.Engine.now engine +. horizon) engine;
+              model_run (!clock +. horizon));
+          ( (Net.Engine.now engine, Net.Engine.pending engine),
+            (!clock, model_live ()) ))
+        ops
+    in
+    Net.Engine.run engine;
+    model_run Float.infinity;
+    List.for_all (fun (got, want) -> got = want) steps
+    && List.rev !fired = List.rev !model_fired
+    && Net.Engine.now engine = !clock
+  in
+  QCheck.Test.make ~count:200 ~name:"heap matches a sorted-list model"
+    QCheck.(list_of_size Gen.(int_range 5 120) (pair small_nat small_nat))
+    program
+
 (* --- CPU ------------------------------------------------------------------ *)
 
 let test_cpu_serializes_jobs () =
@@ -211,6 +271,7 @@ let suite =
       Alcotest.test_case "bad delay" `Quick test_bad_delay_rejected;
       Alcotest.test_case "step" `Quick test_step;
       Alcotest.test_case "heap stress" `Quick test_heap_stress;
+      QCheck_alcotest.to_alcotest qcheck_matches_sorted_model;
       Alcotest.test_case "cpu serializes" `Quick test_cpu_serializes_jobs;
       Alcotest.test_case "cpu charge accumulates" `Quick test_cpu_charge_accumulates;
       Alcotest.test_case "cpu idle immediate" `Quick test_cpu_idle_runs_now;

@@ -116,11 +116,11 @@ let test_causal_tracing_invisible_to_results () =
   (* tracing turns on mid minting and byte aliasing across every layer;
      none of it may touch the simulation clock, RNG or metrics *)
   let plain = small_sweep 1 () in
-  Net.Trace.start ();
+  Obs.Trace2.start ();
   Fun.protect
     ~finally:(fun () ->
-      Net.Trace.stop ();
-      Net.Trace.clear ())
+      Obs.Trace2.stop ();
+      Obs.Trace2.clear ())
     (fun () ->
       Alcotest.(check bool) "traced -j1 = plain" true (small_sweep 1 () = plain);
       Alcotest.(check bool) "traced -j2 = plain" true (small_sweep 2 () = plain))
@@ -225,6 +225,100 @@ let test_digest_memo_rejects_forged_proof () =
     (Obs.Metrics.counter_value snap "crypto.verify.cache_hit");
   Alcotest.(check int) "two misses" 2
     (Obs.Metrics.counter_value snap "crypto.verify.cache_miss")
+
+(* Every memoized entry point must agree with its plain counterpart on
+   arbitrary input: random signed frames, plain and compact, and
+   byte-flip / truncation mutants of them. Each input goes through the
+   memo twice (miss, then hit) and once more after [Intern.clear]; an
+   exception the plain function raises must be raised identically. *)
+let qcheck_memos_match_plain =
+  let keyrings = Lazy.force keyrings in
+  let n = Array.length keyrings in
+  let msg_gen =
+    QCheck.Gen.(
+      let* sender = int_bound (n - 1) in
+      let* phase = int_range 1 4 in
+      let* value = oneofl [ P.V0; P.V1; P.Vbot ] in
+      let* origin = oneofl [ P.Deterministic; P.Random ] in
+      let* status = oneofl [ P.Undecided; P.Decided ] in
+      let proof = Core.Keyring.sign keyrings.(sender) ~phase ~value ~origin in
+      return (mk ~sender ~phase ~value ~origin ~status ~proof ()))
+  in
+  let entry_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun m -> Core.Message.Full m) msg_gen;
+          map (fun m -> Core.Message.Ref (Core.Message.msg_digest m)) msg_gen;
+        ])
+  in
+  let mutation_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun at mask -> `Flip (at, mask)) nat (int_range 1 255);
+          map (fun len -> `Cut len) nat;
+        ])
+  in
+  let mutate b = function
+    | `Flip (at, mask) when Bytes.length b > 0 ->
+        let b = Bytes.copy b and at = at mod Bytes.length b in
+        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask));
+        b
+    | `Flip _ -> b
+    | `Cut len -> Bytes.sub b 0 (len mod (Bytes.length b + 1))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* wmsg = msg_gen in
+      let* compact = bool in
+      let full = map (fun m -> Core.Message.Full m) msg_gen in
+      let* just = list_size (int_bound 3) (if compact then entry_gen else full) in
+      (* a compact frame carries at least one back-reference *)
+      let* first_ref = map (fun m -> Core.Message.Ref (Core.Message.msg_digest m)) msg_gen in
+      let wjust = if compact then first_ref :: just else just in
+      let* mutations = list_size (int_bound 2) mutation_gen in
+      return
+        (List.fold_left mutate (Core.Message.encode_wire { Core.Message.wmsg; wjust }) mutations))
+  in
+  let outcome f x = match f x with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+  (* plain reference vs memo miss, memo hit and memo miss after a clear *)
+  let agrees plain memo x =
+    let expected = outcome plain x in
+    let first = outcome memo x in
+    let second = outcome memo x in
+    I.clear ();
+    let third = outcome memo x in
+    first = expected && second = expected && third = expected
+  in
+  QCheck.Test.make ~name:"memos match plain decode, digest and verify" ~count:500
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen)
+    (fun frame ->
+      let ok, _ =
+        Obs.Scope.with_run (fun () ->
+            I.with_memo true (fun () ->
+                agrees Core.Message.decode_wire I.decode_wire frame
+                &&
+                match Core.Message.decode_wire frame with
+                | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> true
+                | wire ->
+                    let msgs =
+                      wire.Core.Message.wmsg
+                      :: List.filter_map
+                           (function Core.Message.Full m -> Some m | Core.Message.Ref _ -> None)
+                           wire.wjust
+                    in
+                    List.for_all
+                      (fun m ->
+                        agrees Core.Message.msg_digest I.message_digest m
+                        && Array.for_all
+                             (fun kr ->
+                               agrees (Core.Keyring.check_message kr)
+                                 (I.check_message kr) m)
+                             keyrings)
+                      msgs))
+      in
+      ok)
 
 (* --- sha256 fast path ------------------------------------------------------- *)
 
@@ -355,6 +449,7 @@ let suite =
       Alcotest.test_case "profiler span mechanics" `Quick test_profiler_span_mechanics;
       Alcotest.test_case "decode cache rejects forged prefix" `Quick
         test_decode_cache_rejects_forged_prefix;
+      QCheck_alcotest.to_alcotest qcheck_memos_match_plain;
       Alcotest.test_case "digest memo rejects forged proof" `Quick
         test_digest_memo_rejects_forged_proof;
       Alcotest.test_case "sha256 fast path" `Quick test_sha256_fast_path_matches_streaming;

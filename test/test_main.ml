@@ -16,7 +16,6 @@ let () =
       Test_machine.suite;
       Test_protocols.suite;
       Test_service.suite;
-      Test_extensions.suite;
       Test_misc_units.suite;
       Test_ordered_log.suite;
       Test_harness.suite;

@@ -180,16 +180,70 @@ let test_trace2_file_roundtrip () =
 
 let test_render_trailer () =
   fresh ();
-  Net.Trace.start ~limit:4 ();
+  Obs.Trace2.start ~limit:4 ();
   for i = 1 to 6 do
-    Net.Trace.emit ~time:(float_of_int i) ~node:i ~layer:"test" ~label:"ev" "x"
+    Obs.Trace2.emit ~time:(float_of_int i) ~node:i ~layer:"test" ~label:"ev" []
   done;
-  let out = Net.Trace.render ~max_events:2 () in
+  let out = Obs.Trace2.render ~max_events:2 () in
   Alcotest.(check bool) "trailer shows hidden and dropped" true
     (let lines = String.split_on_char '\n' out in
      List.exists (fun l -> l = "(+2 more, 2 dropped)") lines);
-  Net.Trace.stop ();
-  Net.Trace.clear ()
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ()
+
+let test_trace_off_by_default () =
+  fresh ();
+  Obs.Trace2.emit ~time:1.0 ~node:0 ~layer:"x" ~label:"y" [];
+  Alcotest.(check int) "nothing collected" 0 (List.length (Obs.Trace2.events ()))
+
+let test_trace_render_limit () =
+  fresh ();
+  Obs.Trace2.start ~limit:5 ();
+  for i = 0 to 9 do
+    Obs.Trace2.emit ~time:(float_of_int i) ~node:i ~layer:"l" ~label:"e"
+      [ ("i", Obs.Trace2.I i) ]
+  done;
+  Obs.Trace2.stop ();
+  Alcotest.(check int) "kept" 5 (List.length (Obs.Trace2.events ()));
+  Alcotest.(check int) "dropped" 5 (Obs.Trace2.dropped ());
+  let lines =
+    String.split_on_char '\n' (Obs.Trace2.render ())
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "five events and a trailer" 6 (List.length lines);
+  Alcotest.(check string) "first line"
+    "  0.000000  p0   l        e            i=0" (List.hd lines);
+  Alcotest.(check string) "dropped trailer" "(+0 more, 5 dropped)"
+    (List.nth lines 5);
+  Obs.Trace2.clear ()
+
+let test_trace_protocol_run () =
+  fresh ();
+  Obs.Trace2.start ();
+  let r =
+    Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:4 ~dist:Harness.Runner.Unanimous
+      ~load:Net.Fault.Failure_free ~seed:77L ()
+  in
+  Obs.Trace2.stop ();
+  Alcotest.(check bool) "run decided" true (List.length r.latencies = 4);
+  let events = Obs.Trace2.events () in
+  let decides =
+    List.filter (fun e -> e.Obs.Trace2.layer = "turquois" && e.label = "decide") events
+  in
+  Alcotest.(check int) "four decide events" 4 (List.length decides);
+  Alcotest.(check bool) "radio traffic traced" true
+    (List.exists (fun e -> e.Obs.Trace2.layer = "radio") events);
+  (* timestamps are nondecreasing *)
+  let rec monotone = function
+    | a :: (b :: _ as rest) -> a.Obs.Trace2.time <= b.Obs.Trace2.time && monotone rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "monotone" true (monotone events);
+  let rendered = Obs.Trace2.render ~filter:(fun e -> e.layer = "turquois") () in
+  Alcotest.(check int) "rendered one line per turquois event"
+    (List.length (List.filter (fun e -> e.Obs.Trace2.layer = "turquois") events))
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' rendered)));
+  Obs.Trace2.clear ()
 
 (* --- end-to-end: instrumented run ------------------------------------------ *)
 
@@ -219,14 +273,14 @@ let test_runs_do_not_leak () =
 
 let test_analyze_reports_sigma () =
   fresh ();
-  Net.Trace.start ();
+  Obs.Trace2.start ();
   let r =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:8
       ~dist:Harness.Runner.Divergent ~load:Net.Fault.Fail_stop ~seed:42L ()
   in
   let events = Obs.Trace2.events () in
-  Net.Trace.stop ();
-  Net.Trace.clear ();
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
   Alcotest.(check bool) "run decided" false r.timed_out;
   let report = Obs.Analyze.analyze events in
   let contains needle hay =
@@ -428,7 +482,7 @@ let test_timeline_render_states () =
 
 let test_causal_end_to_end_sigma_edge () =
   fresh ();
-  Net.Trace.start ();
+  Obs.Trace2.start ();
   let n = 8 in
   let attach radio =
     let k = n - Net.Fault.max_f n in
@@ -440,8 +494,8 @@ let test_causal_end_to_end_sigma_edge () =
       ~seed:42L ()
   in
   let events = Obs.Trace2.events () in
-  Net.Trace.stop ();
-  Net.Trace.clear ();
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
   Alcotest.(check bool) "run decided" false r.timed_out;
   let report = Obs.Analyze.causal events in
   Alcotest.(check bool) "sends were tagged" false
@@ -478,6 +532,9 @@ let suite =
       Alcotest.test_case "trace2 limit and dropped" `Quick test_trace2_limit_and_dropped;
       Alcotest.test_case "trace2 file roundtrip" `Quick test_trace2_file_roundtrip;
       Alcotest.test_case "render trailer" `Quick test_render_trailer;
+      Alcotest.test_case "trace off" `Quick test_trace_off_by_default;
+      Alcotest.test_case "trace limit" `Quick test_trace_render_limit;
+      Alcotest.test_case "trace protocol run" `Quick test_trace_protocol_run;
       Alcotest.test_case "run metrics populated" `Quick test_run_metrics_populated;
       Alcotest.test_case "run metrics deterministic" `Quick test_run_metrics_deterministic;
       Alcotest.test_case "runs do not leak" `Quick test_runs_do_not_leak;

@@ -1,59 +1,12 @@
-(* Tests for the scalable subsystem: calendar-queue engine backend,
-   the slot arena, deterministic samplers, the abstract medium, and
-   the sample-based broadcast/consensus protocols. *)
+(* Tests for the scalable subsystem: engine far-future deadlines and
+   high-water marks, the slot arena, deterministic samplers, the
+   abstract medium, and the sample-based broadcast/consensus
+   protocols. *)
 
-(* --- calendar queue vs heap --------------------------------------------- *)
+(* --- engine ------------------------------------------------------------- *)
 
-(* Interprets one op list against both backends and compares the full
-   observable trajectory: fire order, clock, live and raw queue sizes.
-   Ops cover equal-deadline ties, cancels (including double cancels),
-   partial run horizons and bucket-year-crossing far deadlines. *)
-let apply_ops ops backend =
-  let engine = Net.Engine.create ~backend () in
-  let log = ref [] in
-  let handles = ref [||] in
-  let fired = ref 0 in
-  let note i () =
-    incr fired;
-    log := i :: !log
-  in
-  List.iteri
-    (fun i (op, a, b) ->
-      match op mod 5 with
-      | 0 | 1 | 2 ->
-          (* quantized delays force exact ties; op 2 with small b jumps
-             far ahead, forcing bucket-year wrap-arounds *)
-          let delay =
-            if op mod 5 = 2 && b mod 7 = 0 then float_of_int (a mod 1000) *. 50.0
-            else float_of_int (a mod 32) *. 0.125
-          in
-          let h = Net.Engine.schedule engine ~delay (note i) in
-          handles := Array.append !handles [| h |]
-      | 3 ->
-          let m = Array.length !handles in
-          if m > 0 then Net.Engine.cancel engine !handles.(a mod m)
-      | _ ->
-          let until = Net.Engine.now engine +. (float_of_int (a mod 8) *. 0.5) in
-          Net.Engine.run ~until engine)
-    ops;
-  Net.Engine.run engine;
-  ( List.rev !log,
-    Net.Engine.now engine,
-    Net.Engine.pending engine,
-    Net.Engine.heap_size engine,
-    Net.Engine.live_peak engine,
-    Net.Engine.queued_peak engine )
-
-let qcheck_calendar_equiv =
-  QCheck.Test.make ~count:80 ~name:"calendar backend pop-for-pop identical to heap"
-    QCheck.(list_of_size Gen.(int_range 10 120) (triple small_nat small_nat small_nat))
-    (fun ops ->
-      let h = apply_ops ops Net.Engine.Heap in
-      let c = apply_ops ops Net.Engine.Calendar in
-      h = c)
-
-let test_calendar_basic () =
-  let engine = Net.Engine.create ~backend:Calendar () in
+let test_far_deadline_order () =
+  let engine = Net.Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
   ignore (Net.Engine.at engine ~time:1.0e12 (note "far"));
@@ -74,7 +27,6 @@ let test_engine_peaks () =
   Net.Engine.cancel engine h;
   Net.Engine.run ~until:2.5 engine;
   Alcotest.(check int) "live after" 1 (Net.Engine.pending engine);
-  Alcotest.(check int) "events_live alias" 1 (Net.Engine.events_live engine);
   ignore (Net.Engine.schedule engine ~delay:1.0 (fun () -> ()));
   Alcotest.(check int) "peak sticks" 3 (Net.Engine.live_peak engine);
   for _ = 1 to 3 do
@@ -167,7 +119,7 @@ let test_sampler_inverse () =
 (* --- medium ------------------------------------------------------------- *)
 
 let test_medium_shared_payload () =
-  let engine = Net.Engine.create ~backend:Calendar () in
+  let engine = Net.Engine.create () in
   let rng = Util.Rng.create ~seed:5L in
   let medium = Scale.Medium.create engine rng ~n:8 () in
   let payload = Bytes.of_string "shared-envelope" in
@@ -191,7 +143,7 @@ let test_medium_shared_payload () =
 
 let test_medium_deterministic () =
   let run () =
-    let engine = Net.Engine.create ~backend:Calendar () in
+    let engine = Net.Engine.create () in
     let rng = Util.Rng.create ~seed:9L in
     let medium = Scale.Medium.create engine rng ~n:16 ~loss:0.2 () in
     let log = ref [] in
@@ -255,7 +207,7 @@ let test_mac_shared_envelope () =
 (* --- sample-based broadcast --------------------------------------------- *)
 
 let pbcast_net ~n ~loss ~seed =
-  let engine = Net.Engine.create ~backend:Calendar () in
+  let engine = Net.Engine.create () in
   let rng = Util.Rng.create ~seed in
   let medium = Scale.Medium.create engine (Util.Rng.split rng) ~n ~loss () in
   let net = Scale.Transport.of_medium medium in
@@ -307,7 +259,7 @@ let test_state_frame_bytes_pinned () =
   Alcotest.(check int) "vote frame bytes" 3 Scale.Sampled.state_frame_bytes
 
 let sampled_net ~n ~loss ~seed ~proposal ~behavior =
-  let engine = Net.Engine.create ~backend:Calendar () in
+  let engine = Net.Engine.create () in
   let rng = Util.Rng.create ~seed in
   let medium = Scale.Medium.create engine (Util.Rng.split rng) ~n ~loss () in
   let net = Scale.Transport.of_medium medium in
@@ -413,8 +365,7 @@ let test_sampled_over_rlinks () =
 let suite =
   ( "scale",
     [
-      QCheck_alcotest.to_alcotest qcheck_calendar_equiv;
-      Alcotest.test_case "calendar basic order" `Quick test_calendar_basic;
+      Alcotest.test_case "engine far-deadline order" `Quick test_far_deadline_order;
       Alcotest.test_case "engine high-water marks" `Quick test_engine_peaks;
       Alcotest.test_case "arena" `Quick test_arena;
       Alcotest.test_case "sampler deterministic" `Quick test_sampler_deterministic;

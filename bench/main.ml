@@ -5,6 +5,8 @@
        dune exec bench/main.exe -- --reps 50    # paper's repetition count
        dune exec bench/main.exe -- --quick      # small sizes, few reps
        dune exec bench/main.exe -- --micro-only # just the Bechamel part
+       dune exec bench/main.exe -- --compare BENCH_baseline.json
+                                                # re-run a committed grid
 
    Sections:
      1. Tables 1-3  — average latency ± 95% CI per (protocol, n,
@@ -28,22 +30,13 @@ let micro = ref true
 let seed = ref 1000L
 let json_out = ref None
 let jobs = ref (Harness.Pool.default_jobs ())
-let baseline_out = ref None
+let grid_out = ref None
 let compare_against = ref None
 let threshold = ref 0.5
-let scaling_out = ref None
-let scaling_sizes = ref Harness.Scaling.default_ns
-let scaling_cap = ref 128
-let scaling_radio_cap = ref 256
-let scaling_timeout = ref 30.0
 
-(* version of the JSON layouts this binary writes (summary,
-   regression-gate baseline and scaling document); --compare rejects a
-   baseline written by a different generation instead of mis-reading
-   it. v3 added the scaling sweep document and the engine high-water
-   metrics; v4 added the Sampled-radio task ([radio_cap]) and the
-   minor/major allocation-word split. *)
-let bench_schema_version = 4
+(* version of the --json summary layout; the committed baseline
+   documents carry [Harness.Baseline.schema_version] instead *)
+let summary_schema_version = 4
 
 let speclist =
   [
@@ -106,33 +99,21 @@ let speclist =
       Arg.Set_int jobs,
       "N same as -j" );
     ( "--baseline-out",
-      Arg.String (fun f -> baseline_out := Some f),
-      "FILE run the regression-gate grid (memoized, -j 1), write wall-clock and \
-       airtime baselines to FILE, and run nothing else" );
+      Arg.String (fun f -> grid_out := Some (Harness.Baseline.Regression_gate, f)),
+      "FILE run the regression-gate grid (memoized, -j 1), write its wall-clock and \
+       airtime rows to FILE, and run nothing else" );
+    ( "--scaling-out",
+      Arg.String (fun f -> grid_out := Some (Harness.Baseline.Scaling, f)),
+      "FILE run the scaling sweep (Turquois vs sample-based consensus at \
+       16/64/128/256/1024, -j 1), write its rows to FILE, and run nothing else" );
     ( "--compare",
       Arg.String (fun f -> compare_against := Some f),
-      "FILE re-run the regression-gate grid and diff it against the baseline in \
-       FILE; exit non-zero when a metric regresses beyond --threshold" );
+      "FILE re-run the grid FILE records (at -j 1, with its seed) and diff every \
+       row: exact rows must match bit for bit, max_growth rows may grow at most \
+       --threshold; exit 1 on any failing or one-sided row" );
     ( "--threshold",
       Arg.Set_float threshold,
-      "X allowed relative regression for --compare (default 0.5 = +50%)" );
-    ( "--scaling-out",
-      Arg.String (fun f -> scaling_out := Some f),
-      "FILE run the scaling sweep (Turquois vs sample-based consensus at \
-       16/64/256/1024), write the document to FILE, and run nothing else; \
-       --compare accepts the document as a baseline" );
-    ( "--scaling-sizes",
-      Arg.String
-        (fun s ->
-          scaling_sizes := List.map int_of_string (String.split_on_char ',' s)),
-      "N,N,... group sizes for --scaling-out (default 16,64,128,256,1024)" );
-    ( "--scaling-cap",
-      Arg.Set_int scaling_cap,
-      "N largest n Turquois runs at in the scaling sweep (default 128)" );
-    ( "--scaling-radio-cap",
-      Arg.Set_int scaling_radio_cap,
-      "N largest n the sampled protocol runs over the contended radio at \
-       (default 256)" );
+      "X allowed relative growth of max_growth rows for --compare (default 0.5 = +50%)" );
   ]
 
 let banner title =
@@ -407,7 +388,7 @@ let write_json file table_results adversary_results workload_results =
   let doc =
     Obs.Json.Obj
       [
-        ("schema_version", Obs.Json.Int bench_schema_version);
+        ("schema_version", Obs.Json.Int summary_schema_version);
         ("reps", Obs.Json.Int !reps);
         ("sizes", Obs.Json.List (List.map (fun n -> Obs.Json.Int n) !sizes));
         ("seed", Obs.Json.String (Int64.to_string !seed));
@@ -469,15 +450,15 @@ let run_ablations () =
   print_string (Harness.Sweeps.render_ablations ~n:10 rows);
   print_newline ()
 
-(* --- section 3c: regression gate ------------------------------------------ *)
+(* --- section 3c: committed baseline grids ----------------------------------- *)
 
 (* The regression-gate grid: a fast, fully deterministic slice of the
-   benchmark surface (memoized, -j 1). Wall-clock sections catch
+   benchmark surface (memoized, -j 1). The wall-clock rows catch
    performance regressions; the frame/byte/airtime counts of a
    representative run are bit-deterministic for a fixed seed, so any
    drift there signals a protocol behavior change — rebaseline
    deliberately with --baseline-out when that change is intentional. *)
-let gate_grid () =
+let gate_rows () =
   let time f =
     let t0 = Unix.gettimeofday () in
     let v = f () in
@@ -525,231 +506,76 @@ let gate_grid () =
         else acc)
       0.0 rep.Harness.Runner.metrics
   in
-  let wall =
-    [
-      ("sigma_sweep_s", sweep_s);
-      ("table_cell_s", cell_s);
-      ("chaos_s", chaos_s);
-      ("workload_s", workload_s);
-    ]
-  in
-  let deterministic =
-    [
-      ("frames_sent", float_of_int rep.Harness.Runner.frames_sent);
-      ("bytes_sent", float_of_int rep.Harness.Runner.bytes_sent);
-      ("airtime_s", airtime);
-      ("sim_duration_s", rep.Harness.Runner.duration);
-      ( "workload_delivered",
-        float_of_int wl.Harness.Workload.delivered_commands );
-      ( "workload_slots",
-        float_of_int
-          (wl.Harness.Workload.committed_slots
-         + wl.Harness.Workload.skipped_slots) );
-      ("workload_sim_s", wl.Harness.Workload.duration);
-    ]
-  in
-  (wall, deterministic)
+  let row rule name value = { Harness.Baseline.name; value; rule } in
+  let wall = row Harness.Baseline.Max_growth and exact = row Harness.Baseline.Exact in
+  [
+    wall "wall.sigma_sweep_s" sweep_s;
+    wall "wall.table_cell_s" cell_s;
+    wall "wall.chaos_s" chaos_s;
+    wall "wall.workload_s" workload_s;
+    exact "airtime.frames_sent" (float_of_int rep.Harness.Runner.frames_sent);
+    exact "airtime.bytes_sent" (float_of_int rep.Harness.Runner.bytes_sent);
+    exact "airtime.airtime_s" airtime;
+    exact "airtime.sim_duration_s" rep.Harness.Runner.duration;
+    exact "airtime.workload_delivered"
+      (float_of_int wl.Harness.Workload.delivered_commands);
+    exact "airtime.workload_slots"
+      (float_of_int
+         (wl.Harness.Workload.committed_slots + wl.Harness.Workload.skipped_slots));
+    exact "airtime.workload_sim_s" wl.Harness.Workload.duration;
+  ]
 
-let gate_to_json (wall, deterministic) =
-  let fields l = List.map (fun (k, v) -> (k, Obs.Json.Float v)) l in
-  Obs.Json.Obj
-    [
-      ("bench", Obs.Json.String "regression-gate");
-      ("schema_version", Obs.Json.Int bench_schema_version);
-      ("seed", Obs.Json.String (Int64.to_string !seed));
-      ("wall", Obs.Json.Obj (fields wall));
-      ("airtime", Obs.Json.Obj (fields deterministic));
-    ]
+(* Every committed grid runs at -j 1, so the scaling sweep's
+   allocation words do not depend on which points shared a domain. -j
+   affects only the report sections. *)
+let grid_rows = function
+  | Harness.Baseline.Regression_gate -> gate_rows ()
+  | Harness.Baseline.Scaling ->
+      Harness.Scaling.rows (Harness.Scaling.sweep ~jobs:1 ~seed:!seed ())
 
-let run_baseline_out file =
-  banner "Regression-gate baseline (memoized, -j 1)";
-  let ((wall, deterministic) as gate) = gate_grid () in
+let write_grid grid file =
+  banner
+    (Printf.sprintf "Baseline grid %s (-j 1, seed %Ld)"
+       (Harness.Baseline.grid_name grid) !seed);
+  let rows = grid_rows grid in
   List.iter
-    (fun (k, v) -> Printf.printf "  %-16s %12.4f\n" k v)
-    (wall @ deterministic);
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string (gate_to_json gate));
-  output_char oc '\n';
-  close_out oc;
+    (fun (r : Harness.Baseline.row) -> Printf.printf "  %-40s %.17g\n" r.name r.value)
+    rows;
+  Harness.Baseline.save file { Harness.Baseline.grid; seed = !seed; rows };
   Printf.printf "wrote %s\n" file
 
-(* --- section 3d: scaling sweep --------------------------------------------- *)
-
-let run_scaling_out file =
-  banner "Scaling sweep: Turquois vs sample-based consensus past n=16";
-  let points =
-    Harness.Scaling.sweep ~jobs:!jobs ~ns:!scaling_sizes ~turquois_cap:!scaling_cap
-      ~radio_cap:!scaling_radio_cap ~timeout:!scaling_timeout ~seed:!seed ()
-  in
-  print_string (Harness.Scaling.render points);
-  let doc =
-    Harness.Scaling.to_json ~schema_version:bench_schema_version ~ns:!scaling_sizes
-      ~turquois_cap:!scaling_cap ~radio_cap:!scaling_radio_cap
-      ~timeout:!scaling_timeout ~seed:!seed points
-  in
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" file
-
-(* Re-run the sweep with the baseline's own parameters and diff every
-   point. All fields but [mem_words] are bit-deterministic for the
-   recorded seed: coverage and timeouts must match exactly, the
-   numeric fields fail on drift beyond --threshold in either direction
-   (an intentional protocol change is a deliberate rebaseline), and
-   the allocation-word fields ([mem_words] and its minor/major split) —
-   per-domain allocation deltas, exact up to a small cache-warmup
-   constant — only fail on growth. *)
-let run_compare_scaling file (base : Harness.Scaling.doc) =
-  banner
-    (Printf.sprintf "Scaling gate: re-run sweep vs %s (threshold %.0f%%)" file
-       (100.0 *. !threshold));
-  let points =
-    Harness.Scaling.sweep ~jobs:!jobs ~ns:base.ns ~turquois_cap:base.turquois_cap
-      ~radio_cap:base.radio_cap ~timeout:base.timeout ~seed:base.seed ()
-  in
-  let failures = ref 0 in
-  let fail fmt = incr failures; Printf.printf fmt in
-  (match
-     List.combine base.points points
-   with
-  | pairs ->
+(* Re-run the grid a document records, with its seed, and diff row by
+   row. Exact rows print only when they fail; max_growth rows always
+   print, so the report doubles as a wall-clock/allocation readout. *)
+let run_compare file =
+  match Harness.Baseline.load file with
+  | Error e ->
+      Printf.eprintf "%s: %s\n" file e;
+      exit 2
+  | Ok base ->
+      banner
+        (Printf.sprintf "Baseline gate: re-run %s grid vs %s (max growth +%.0f%%)"
+           (Harness.Baseline.grid_name base.grid) file (100.0 *. !threshold));
+      seed := base.seed;
+      let verdicts =
+        Harness.Baseline.diff ~threshold:!threshold ~base:base.rows
+          (grid_rows base.grid)
+      in
       List.iter
-        (fun ((b : Harness.Scaling.point), (p : Harness.Scaling.point)) ->
-          let tag = Printf.sprintf "%s n=%d" p.protocol p.n in
-          if b.protocol <> p.protocol || b.n <> p.n then
-            fail "  %s: grid mismatch vs baseline %s n=%d — FAIL\n" tag b.protocol
-              b.n
-          else begin
-            if p.decided <> b.decided || p.timed_out <> b.timed_out then
-              fail "  %s: coverage %d/%d t/o=%b vs baseline %d/%d t/o=%b — FAIL\n"
-                tag p.decided p.honest p.timed_out b.decided b.honest b.timed_out;
-            let drift name bv pv =
-              let rel =
-                if bv = 0.0 then if pv = 0.0 then 0.0 else infinity
-                else (pv -. bv) /. bv
-              in
-              if Float.abs rel > !threshold then
-                fail "  %s/%-12s %12.4f -> %12.4f  %+8.1f%% — FAIL\n" tag name bv
-                  pv (100.0 *. rel)
-            in
-            drift "mean_ms" (1e3 *. b.mean_latency) (1e3 *. p.mean_latency);
-            drift "msgs" (float_of_int b.msgs) (float_of_int p.msgs);
-            drift "bytes" (float_of_int b.bytes) (float_of_int p.bytes);
-            drift "airtime_s" b.airtime p.airtime;
-            drift "live_peak" (float_of_int b.live_peak) (float_of_int p.live_peak);
-            drift "arena_hw" (float_of_int b.arena_hw) (float_of_int p.arena_hw);
-            let grow name bv pv =
-              let rel =
-                if bv = 0 then 0.0
-                else float_of_int (pv - bv) /. float_of_int bv
-              in
-              if rel > !threshold then
-                fail "  %s/%-12s %d -> %d  %+.1f%% — FAIL\n" tag name bv pv
-                  (100.0 *. rel)
-            in
-            grow "mem_words" b.mem_words p.mem_words;
-            grow "minor_words" b.minor_words p.minor_words;
-            grow "major_words" b.major_words p.major_words
-          end)
-        pairs
-  | exception Invalid_argument _ ->
-      fail "  point count %d vs baseline %d — FAIL\n" (List.length points)
-        (List.length base.points));
-  if !failures > 0 then begin
-    Printf.printf "scaling gate: %d mismatch(es) vs %s — FAIL\n" !failures file;
-    exit 1
-  end
-  else Printf.printf "scaling gate: all points within %.0f%% of %s\n"
-      (100.0 *. !threshold) file
-
-let rec run_compare file =
-  let read_file f =
-    let ic = open_in f in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let base =
-    match Obs.Json.parse (read_file file) with
-    | Ok j -> j
-    | Error e -> failwith (Printf.sprintf "%s: %s" file e)
-  in
-  (* dispatch on the document's self-description: a scaling document
-     compares against a re-run of its own sweep, anything else is the
-     regression-gate grid *)
-  match Option.bind (Obs.Json.member "bench" base) Obs.Json.to_str with
-  | Some "scaling" -> begin
-      (match
-         Option.bind (Obs.Json.member "bench_schema_version" base) Obs.Json.to_int
-       with
-      | Some v when v = bench_schema_version -> ()
-      | Some v ->
-          failwith
-            (Printf.sprintf
-               "%s: scaling schema version %d; this build writes version %d — \
-                regenerate it with --scaling-out"
-               file v bench_schema_version)
-      | None -> failwith (Printf.sprintf "%s: no bench_schema_version" file));
-      match Harness.Scaling.of_json base with
-      | Ok doc -> run_compare_scaling file doc
-      | Error e -> failwith (Printf.sprintf "%s: %s" file e)
-    end
-  | Some _ | None -> run_compare_gate file base
-
-and run_compare_gate file base =
-  banner
-    (Printf.sprintf "Regression gate: re-run grid vs %s (threshold +%.0f%%)" file
-       (100.0 *. !threshold));
-  (match Option.bind (Obs.Json.member "schema_version" base) Obs.Json.to_int with
-  | Some v when v = bench_schema_version -> ()
-  | Some v ->
-      failwith
-        (Printf.sprintf
-           "%s: baseline schema version %d; this build writes version %d — \
-            regenerate it with --baseline-out"
-           file v bench_schema_version)
-  | None ->
-      failwith
-        (Printf.sprintf "%s: not a regression-gate baseline (no schema_version)"
-           file));
-  let section name =
-    match Obs.Json.member name base with Some (Obs.Json.Obj kvs) -> kvs | _ -> []
-  in
-  let base_wall = section "wall" in
-  let base_det = section "airtime" in
-  let wall, deterministic = gate_grid () in
-  let failures = ref 0 in
-  (* wall clock only fails on increases (machines get faster for free);
-     deterministic airtime metrics fail on drift in either direction *)
-  let check ~two_sided sect_name baseline (k, v) =
-    match Option.bind (List.assoc_opt k baseline) Obs.Json.to_float with
-    | None -> Printf.printf "  %s/%-16s %12.4f  (no baseline value — skipped)\n" sect_name k v
-    | Some b ->
-        let rel =
-          if b = 0.0 then if v = 0.0 then 0.0 else infinity else (v -. b) /. b
-        in
-        let regressed =
-          if two_sided then Float.abs rel > !threshold else rel > !threshold
-        in
-        if regressed then incr failures;
-        Printf.printf "  %s/%-16s %12.4f -> %12.4f  %+8.1f%%  %s\n" sect_name k b v
-          (100.0 *. rel)
-          (if regressed then "FAIL" else "ok")
-  in
-  List.iter (check ~two_sided:false "wall" base_wall) wall;
-  List.iter (check ~two_sided:true "airtime" base_det) deterministic;
-  if !failures > 0 then (
-    Printf.printf "regression gate: %d metric(s) beyond %.0f%% of %s — FAIL\n"
-      !failures
-      (100.0 *. !threshold)
-      file;
-    exit 1)
-  else
-    Printf.printf "regression gate: all metrics within %.0f%% of %s\n"
-      (100.0 *. !threshold)
-      file
+        (fun (v : Harness.Baseline.verdict) ->
+          let growth_row =
+            match v.base with
+            | Some b -> b.rule = Harness.Baseline.Max_growth
+            | None -> false
+          in
+          if growth_row || not v.ok then
+            print_endline (Harness.Baseline.render_verdict v))
+        verdicts;
+      let failed = List.length (List.filter (fun v -> not v.Harness.Baseline.ok) verdicts) in
+      Printf.printf "baseline gate: %d of %d rows failed against %s — %s\n" failed
+        (List.length verdicts) file
+        (if failed = 0 then "ok" else "FAIL");
+      if failed > 0 then exit 1
 
 (* --- section 4: bechamel --------------------------------------------------- *)
 
@@ -848,17 +674,14 @@ let () =
   Arg.parse speclist
     (fun anon -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" anon)))
     "bench/main.exe [options]";
-  match (!baseline_out, !compare_against, !scaling_out) with
-  | Some file, _, _ ->
-      run_baseline_out file;
+  match (!grid_out, !compare_against) with
+  | Some (grid, file), _ ->
+      write_grid grid file;
       print_endline "benchmark complete."
-  | None, Some file, _ ->
+  | None, Some file ->
       run_compare file;
       print_endline "benchmark complete."
-  | None, None, Some file ->
-      run_scaling_out file;
-      print_endline "benchmark complete."
-  | None, None, None ->
+  | None, None ->
   let table_results = if !tables then run_tables () else [] in
   if !sigma then run_sigma ();
   let adversary_results = if !adversary then run_adversary () else [] in

@@ -724,8 +724,9 @@ let run_scaling sizes turquois_cap radio_cap timeout seed jobs =
     Harness.Scaling.sweep ~jobs ~ns:sizes ~turquois_cap ~radio_cap ~timeout ~seed ()
   with
   | points ->
-      (* stdout is a deterministic function of the arguments (memory is
-         JSON-only), so -j 1 and -j N outputs are byte-comparable *)
+      (* stdout is a deterministic function of the arguments (the
+         allocation words stay out of the table), so -j 1 and -j N
+         outputs are byte-comparable *)
       print_string (Harness.Scaling.render points);
       0
   | exception Invalid_argument msg ->

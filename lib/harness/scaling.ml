@@ -28,20 +28,17 @@ let default_ns = [ 16; 64; 128; 256; 1024 ]
 
 (* Words allocated by the current domain so far, split by generation
    (major is net of promotions, so the two add up to total allocation).
-   The minor counter comes from [Gc.minor_words], which reads the
-   calling domain's own allocation pointer — [Gc.quick_stat] aggregates
-   minor words across every live domain on this runtime, so under -j N
-   it silently bills a slow point for its neighbours' allocations
-   (measured 3.6x inflation at -j 4). The major-net-of-promotions
-   component still comes from the aggregated stat — only allocations
-   that skip the minor heap land there (large buffers), a few percent
-   of the total, so cross-domain bleed on it stays within the one-sided
-   compare margin. Unlike [top_heap_words] (a process-global monotonic
-   high-water mark) the delta across a point's body does not depend on
-   which points ran earlier. *)
+   [Gc.counters] reads the calling domain's own live counters.
+   [Gc.quick_stat] would not do: it sums every domain's counters as of
+   each domain's last collection, so its major component both lags (a
+   point's delta can read 0 or even negative) and, under -j N, bills a
+   point for its neighbours' direct-to-major allocations. Unlike
+   [top_heap_words] (a process-global monotonic high-water mark) the
+   delta across a point's body does not depend on which points ran
+   earlier. *)
 let gc_words () =
-  let s = Gc.quick_stat () in
-  (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
+  let minor, promoted, major = Gc.counters () in
+  (minor, major -. promoted)
 
 (* One sampled-consensus execution: n correct nodes, divergent
    proposals, 1% iid loss, all randomness derived from [seed]. *)
@@ -187,130 +184,54 @@ let render points =
     points;
   Buffer.contents buf
 
-type doc = {
-  ns : int list;
-  turquois_cap : int;
-  radio_cap : int;
-  timeout : float;
-  seed : int64;
-  points : point list;
-}
-
-let to_json ~schema_version ~ns ~turquois_cap ~radio_cap ~timeout ~seed points =
-  Obs.Json.Obj
-    [
-      ("bench", Obs.Json.String "scaling");
-      ("bench_schema_version", Obs.Json.Int schema_version);
-      ("sizes", Obs.Json.List (List.map (fun n -> Obs.Json.Int n) ns));
-      ("turquois_cap", Obs.Json.Int turquois_cap);
-      ("radio_cap", Obs.Json.Int radio_cap);
-      ("timeout_s", Obs.Json.Float timeout);
-      ("seed", Obs.Json.String (Int64.to_string seed));
-      ( "points",
-        Obs.Json.List
-          (List.map
-             (fun p ->
-               Obs.Json.Obj
-                 [
-                   ("protocol", Obs.Json.String p.protocol);
-                   ("n", Obs.Json.Int p.n);
-                   ("honest", Obs.Json.Int p.honest);
-                   ("decided", Obs.Json.Int p.decided);
-                   ("mean_latency_s", Obs.Json.Float p.mean_latency);
-                   ("max_latency_s", Obs.Json.Float p.max_latency);
-                   ("duration_s", Obs.Json.Float p.duration);
-                   ("msgs", Obs.Json.Int p.msgs);
-                   ("bytes", Obs.Json.Int p.bytes);
-                   ("airtime_s", Obs.Json.Float p.airtime);
-                   ("live_peak", Obs.Json.Int p.live_peak);
-                   ("queued_peak", Obs.Json.Int p.queued_peak);
-                   ("arena_hw", Obs.Json.Int p.arena_hw);
-                   ("timed_out", Obs.Json.Bool p.timed_out);
-                   ("mem_words", Obs.Json.Int p.mem_words);
-                   ("minor_words", Obs.Json.Int p.minor_words);
-                   ("major_words", Obs.Json.Int p.major_words);
-                 ])
-             points) );
-    ]
-
-let of_json json =
-  let open Obs.Json in
-  let ( let* ) o f = match o with Some v -> f v | None -> Error "malformed scaling doc" in
-  let* bench = Option.bind (member "bench" json) to_str in
-  if bench <> "scaling" then Error "not a scaling document"
-  else
-    let* ns =
-      match Option.bind (member "sizes" json) to_list with
-      | None -> None
-      | Some l ->
-          List.fold_left
-            (fun acc j ->
-              match (acc, to_int j) with
-              | Some ns, Some n -> Some (n :: ns)
-              | _, _ -> None)
-            (Some []) l
-          |> Option.map List.rev
-    in
-    let* turquois_cap = Option.bind (member "turquois_cap" json) to_int in
-    (* absent in schema <= 3 documents: those predate the Sampled-radio
-       task kind, so no radio points were run *)
-    let radio_cap =
-      Option.value ~default:0 (Option.bind (member "radio_cap" json) to_int)
-    in
-    let* timeout = Option.bind (member "timeout_s" json) to_float in
-    let* seed =
-      Option.bind (member "seed" json) (fun j ->
-          Option.bind (to_str j) Int64.of_string_opt)
-    in
-    let* points = Option.bind (member "points" json) to_list in
-    let parse_point p =
-      let int k = Option.bind (member k p) to_int in
-      let flt k = Option.bind (member k p) to_float in
-      let* protocol = Option.bind (member "protocol" p) to_str in
-      let* n = int "n" in
-      let* honest = int "honest" in
-      let* decided = int "decided" in
-      let* mean_latency = flt "mean_latency_s" in
-      let* max_latency = flt "max_latency_s" in
-      let* duration = flt "duration_s" in
-      let* msgs = int "msgs" in
-      let* bytes = int "bytes" in
-      let* airtime = flt "airtime_s" in
-      let* live_peak = int "live_peak" in
-      let* queued_peak = int "queued_peak" in
-      let* arena_hw = int "arena_hw" in
-      let* timed_out = Option.bind (member "timed_out" p) to_bool in
-      let* mem_words = int "mem_words" in
-      (* absent in schema <= 3 documents; 0 = not measured *)
-      let minor_words = Option.value ~default:0 (int "minor_words") in
-      let major_words = Option.value ~default:0 (int "major_words") in
-      Ok
-        {
-          protocol;
-          n;
-          honest;
-          decided;
-          mean_latency;
-          max_latency;
-          duration;
-          msgs;
-          bytes;
-          airtime;
-          live_peak;
-          queued_peak;
-          arena_hw;
-          timed_out;
-          mem_words;
-          minor_words;
-          major_words;
-        }
-    in
-    List.fold_left
-      (fun acc p ->
-        match (acc, parse_point p) with
-        | Error e, _ -> Error e
-        | _, Error e -> Error e
-        | Ok ps, Ok p -> Ok (p :: ps))
-      (Ok []) points
-    |> Result.map (fun points ->
-           { ns; turquois_cap; radio_cap; timeout; seed; points = List.rev points })
+(* Every field but the (protocol, n) key becomes a row; the record
+   pattern names all of them, so adding a field to [point] does not
+   compile until it is given a row here. *)
+let rows points =
+  List.concat_map
+    (fun p ->
+      let {
+        protocol;
+        n;
+        honest;
+        decided;
+        mean_latency;
+        max_latency;
+        duration;
+        msgs;
+        bytes;
+        airtime;
+        live_peak;
+        queued_peak;
+        arena_hw;
+        timed_out;
+        mem_words;
+        minor_words;
+        major_words;
+      } =
+        p
+      in
+      let row rule key value =
+        { Baseline.name = Printf.sprintf "%s/n=%d/%s" protocol n key; value; rule }
+      in
+      let exact key v = row Baseline.Exact key v in
+      let count key i = exact key (float_of_int i) in
+      let words key i = row Baseline.Max_growth key (float_of_int i) in
+      [
+        count "honest" honest;
+        count "decided" decided;
+        exact "mean_latency_s" mean_latency;
+        exact "max_latency_s" max_latency;
+        exact "duration_s" duration;
+        count "msgs" msgs;
+        count "bytes" bytes;
+        exact "airtime_s" airtime;
+        count "live_peak" live_peak;
+        count "queued_peak" queued_peak;
+        count "arena_hw" arena_hw;
+        count "timed_out" (Bool.to_int timed_out);
+        words "mem_words" mem_words;
+        words "minor_words" minor_words;
+        words "major_words" major_words;
+      ])
+    points

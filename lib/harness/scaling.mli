@@ -9,9 +9,8 @@
     coverage, latency, traffic, airtime and the engine/arena
     high-water marks; every
     rendered field is a deterministic function of the seed, so tables
-    are bit-identical across [-j N] (the allocation-word fields are
-    within a cache-warmup constant of deterministic and stay out of
-    the table). *)
+    are bit-identical across [-j N]. The allocation-word fields are
+    host measurements and stay out of the table. *)
 
 type point = {
   protocol : string;
@@ -32,16 +31,14 @@ type point = {
           runs); 0 where neither applies *)
   timed_out : bool;
   mem_words : int;
-      (** words allocated by the point on its own domain (minor +
-          major - promoted delta) — a coarse memory-cost proxy that,
-          unlike a process-global heap high-water mark, does not
-          depend on which points ran earlier. The dominant minor
-          component is read from the domain-local allocation counter
-          and is [-j]-independent; the small direct-to-major remainder
-          comes from the aggregated GC stat and can pick up a few
-          percent of cross-domain bleed under [-j N]. Domain-cache
-          warmup can also shift it by a small constant, so it is
-          excluded from {!render} and compared one-sidedly. *)
+      (** words the point allocated on its own domain (minor + major -
+          promoted delta, from the domain-local [Gc.counters]) — a
+          coarse memory-cost proxy that, unlike a process-global heap
+          high-water mark, does not depend on which points ran earlier.
+          Domain-cache warmup shifts it by a small constant that
+          depends on which points shared the domain, so the committed
+          document is written and compared at [-j 1]. Excluded from
+          {!render} and compared one-sidedly ([Max_growth]). *)
   minor_words : int;  (** minor-generation component of [mem_words] *)
   major_words : int;
       (** net major-generation component (major - promoted) *)
@@ -67,30 +64,9 @@ val sweep :
 val render : point list -> string
 (** Fixed-width table of the deterministic fields only. *)
 
-type doc = {
-  ns : int list;
-  turquois_cap : int;
-  radio_cap : int;  (** 0 in documents predating the radio task *)
-  timeout : float;
-  seed : int64;
-  points : point list;
-}
-(** A parsed scaling document: the sweep parameters it was generated
-    with (so [--compare] can re-run the identical grid) plus its
-    points. *)
-
-val to_json :
-  schema_version:int ->
-  ns:int list ->
-  turquois_cap:int ->
-  radio_cap:int ->
-  timeout:float ->
-  seed:int64 ->
-  point list ->
-  Obs.Json.t
-(** Self-describing document (["bench" = "scaling"]) for
-    [BENCH_scaling.json]; records the sweep parameters and includes
-    the allocation-word fields. *)
-
-val of_json : Obs.Json.t -> (doc, string) result
-(** Parses a document produced by {!to_json} (for [--compare]). *)
+val rows : point list -> Baseline.row list
+(** The committed-document rows of a sweep: each point field but
+    [protocol] and [n] becomes one row named ["PROTOCOL/n=N/FIELD"]
+    ([mean_latency_s], [max_latency_s], [duration_s], [airtime_s] in
+    seconds; [timed_out] as 0 or 1). The allocation words are
+    [Max_growth]; every other field is simulated and [Exact]. *)

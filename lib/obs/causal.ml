@@ -80,16 +80,6 @@ type dag = {
   decides : (int, float) Hashtbl.t; (* node -> first decide time *)
 }
 
-let fint fields key =
-  match List.assoc_opt key fields with
-  | Some (Trace2.I i) -> Some i
-  | _ -> None
-
-let fstr fields key =
-  match List.assoc_opt key fields with
-  | Some (Trace2.S s) -> Some s
-  | _ -> None
-
 let build events =
   let sends = Hashtbl.create 128 in
   let delivers = ref [] in
@@ -97,7 +87,7 @@ let build events =
   let decides = Hashtbl.create 16 in
   List.iter
     (fun (e : Trace2.event) ->
-      let mid () = fstr e.fields "mid" in
+      let mid () = Trace2.field_str e.fields "mid" in
       match (e.layer, e.label) with
       | _, ("broadcast" | "equivocate") -> (
           match mid () with
@@ -108,11 +98,11 @@ let build events =
                   {
                     s_mid = m;
                     s_sender = e.node;
-                    s_phase = Option.value ~default:(-1) (fint e.fields "phase");
+                    s_phase = Option.value ~default:(-1) (Trace2.field_int e.fields "phase");
                     s_time = e.time;
                   })
       | "radio", "deliver" -> (
-          match (mid (), fint e.fields "rx") with
+          match (mid (), Trace2.field_int e.fields "rx") with
           | Some m, Some rx ->
               delivers := { d_mid = m; d_rx = rx; d_time = e.time } :: !delivers
           | _ -> ())
@@ -121,7 +111,12 @@ let build events =
           | None -> ()
           | Some m ->
               drops :=
-                { dr_mid = m; dr_kind = "omission"; dr_rx = fint e.fields "rx"; dr_time = e.time }
+                {
+                  dr_mid = m;
+                  dr_kind = "omission";
+                  dr_rx = Trace2.field_int e.fields "rx";
+                  dr_time = e.time;
+                }
                 :: !drops)
       | "radio", "jammed" -> (
           match mid () with
@@ -133,7 +128,12 @@ let build events =
           | None -> ()
           | Some m ->
               drops :=
-                { dr_mid = m; dr_kind = "mac-drop"; dr_rx = fint e.fields "dst"; dr_time = e.time }
+                {
+                  dr_mid = m;
+                  dr_kind = "mac-drop";
+                  dr_rx = Trace2.field_int e.fields "dst";
+                  dr_time = e.time;
+                }
                 :: !drops)
       | _, "decide" ->
           if not (Hashtbl.mem decides e.node) then Hashtbl.replace decides e.node e.time

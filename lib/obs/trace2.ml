@@ -8,6 +8,23 @@ type event = {
   fields : (string * field) list;
 }
 
+(* Field lookups for trace readers: numbers convert between int and
+   float (a float truncates), any other type mismatch reads as absent. *)
+let field_int fields key =
+  match List.assoc_opt key fields with
+  | Some (I i) -> Some i
+  | Some (F f) -> Some (int_of_float f)
+  | _ -> None
+
+let field_float fields key =
+  match List.assoc_opt key fields with
+  | Some (F f) -> Some f
+  | Some (I i) -> Some (float_of_int i)
+  | _ -> None
+
+let field_str fields key =
+  match List.assoc_opt key fields with Some (S s) -> Some s | _ -> None
+
 type state = {
   mutable active : bool;
   mutable limit : int;

@@ -16,6 +16,15 @@ type event = {
   fields : (string * field) list;
 }
 
+val field_int : (string * field) list -> string -> int option
+(** [field_int fields key] reads an [I], or an [F] truncated to an int;
+    [None] when [key] is absent or holds a string or bool. *)
+
+val field_float : (string * field) list -> string -> float option
+(** Reads an [F], or an [I] converted to a float. *)
+
+val field_str : (string * field) list -> string -> string option
+
 val start : ?limit:int -> unit -> unit
 (** Enables collection; at most [limit] events are kept (default
     100_000; afterwards new events are counted but dropped). *)

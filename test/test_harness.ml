@@ -177,6 +177,139 @@ let test_phase_distribution () =
   let unan = List.find (fun (r : Harness.Sweeps.phase_row) -> r.dist = R.Unanimous) rows in
   Alcotest.(check (float 1e-9)) "unanimous decides at phase 3" 3.0 unan.phase_stats.mean
 
+(* --- committed baseline documents ------------------------------------------ *)
+
+module B = Harness.Baseline
+
+let row ?(rule = B.Exact) name value = { B.name; value; rule }
+
+let sample_doc =
+  {
+    B.grid = B.Scaling;
+    seed = 1000L;
+    rows =
+      [
+        row "Turquois/n=16/mean_latency_s" 0.015804466668394624;
+        row "Turquois/n=16/msgs" 46.0;
+        row ~rule:B.Max_growth "wall.chaos_s" 3.1729681491851807;
+        row "tiny" 5e-324;
+      ];
+  }
+
+let failing verdicts =
+  List.filter_map (fun (v : B.verdict) -> if v.ok then None else Some v.name) verdicts
+
+let test_baseline_round_trip () =
+  let file = Filename.temp_file "baseline" ".json" in
+  B.save file sample_doc;
+  let loaded = B.load file in
+  Sys.remove file;
+  match loaded with
+  | Error e -> Alcotest.fail e
+  | Ok d ->
+      Alcotest.(check bool) "same document" true (d = sample_doc);
+      Alcotest.(check (list string)) "diff against itself" []
+        (failing (B.diff ~threshold:0.0 ~base:sample_doc.rows d.rows))
+
+let test_baseline_exact_one_ulp () =
+  let base = [ row "airtime.airtime_s" 0.0057578181818181843 ] in
+  let bumped = [ row "airtime.airtime_s" (Float.succ 0.0057578181818181843) ] in
+  Alcotest.(check (list string)) "one ulp fails even at a huge threshold"
+    [ "airtime.airtime_s" ]
+    (failing (B.diff ~threshold:1e9 ~base bumped));
+  Alcotest.(check (list string)) "equal passes" [] (failing (B.diff ~threshold:0.0 ~base base))
+
+let test_baseline_max_growth () =
+  let g v = [ row ~rule:B.Max_growth "wall.s" v ] in
+  let verdict v = failing (B.diff ~threshold:0.5 ~base:(g 2.0) (g v)) in
+  Alcotest.(check (list string)) "any decrease passes" [] (verdict 0.001);
+  Alcotest.(check (list string)) "growth up to the threshold passes" [] (verdict 3.0);
+  Alcotest.(check (list string)) "growth above it fails" [ "wall.s" ]
+    (verdict (Float.succ 3.0));
+  Alcotest.(check (list string)) "growth from zero fails" [ "wall.s" ]
+    (failing (B.diff ~threshold:0.5 ~base:(g 0.0) (g 1.0)))
+
+let test_baseline_one_sided_rows () =
+  let a = row "a" 1.0 and b = row ~rule:B.Max_growth "b" 1.0 in
+  Alcotest.(check (list string)) "missing from the re-run" [ "b" ]
+    (failing (B.diff ~threshold:1.0 ~base:[ a; b ] [ a ]));
+  Alcotest.(check (list string)) "missing from the baseline" [ "b" ]
+    (failing (B.diff ~threshold:1.0 ~base:[ a ] [ a; b ]));
+  Alcotest.(check (list string)) "a changed rule fails" [ "b" ]
+    (failing (B.diff ~threshold:1.0 ~base:[ a; b ] [ a; { b with rule = B.Exact } ]))
+
+let test_baseline_rejects () =
+  let good = B.to_string sample_doc in
+  (* [s] with its first [sub] replaced by [by] *)
+  let replace ~sub ~by s =
+    let m = String.length sub in
+    let rec go i = if String.sub s i m = sub then i else go (i + 1) in
+    let i = go 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + m) (String.length s - i - m)
+  in
+  let rejected what s =
+    Alcotest.(check bool) what true (Result.is_error (B.of_string s))
+  in
+  Alcotest.(check bool) "the unmodified text parses" true (Result.is_ok (B.of_string good));
+  rejected "wrong schema_version"
+    (replace ~sub:(Printf.sprintf "\"schema_version\":%d" B.schema_version)
+       ~by:"\"schema_version\":4" good);
+  rejected "unknown grid" (replace ~sub:"\"scaling\"" ~by:"\"scalling\"" good);
+  rejected "unknown rule" (replace ~sub:"\"max_growth\"" ~by:"\"two_sided\"" good);
+  rejected "malformed JSON" (String.sub good 0 (String.length good / 2));
+  rejected "an old-layout document"
+    "{\"bench\":\"regression-gate\",\"schema_version\":4,\"seed\":\"1000\"}";
+  rejected "duplicate row"
+    (B.to_string { sample_doc with rows = sample_doc.rows @ [ List.hd sample_doc.rows ] });
+  Alcotest.(check bool) "unreadable file" true
+    (Result.is_error (B.load "/nonexistent/baseline.json"))
+
+let test_scaling_rows_cover_every_field () =
+  let p =
+    {
+      Harness.Scaling.protocol = "Sampled";
+      n = 64;
+      honest = 1;
+      decided = 2;
+      mean_latency = 3.5;
+      max_latency = 4.5;
+      duration = 5.5;
+      msgs = 6;
+      bytes = 7;
+      airtime = 8.5;
+      live_peak = 9;
+      queued_peak = 10;
+      arena_hw = 11;
+      timed_out = true;
+      mem_words = 13;
+      minor_words = 14;
+      major_words = 15;
+    }
+  in
+  let rows = Harness.Scaling.rows [ p ] in
+  (* a record with non-float fields is a block with one slot per field:
+     a new [point] field makes this count disagree until it has a row *)
+  Alcotest.(check int) "one row per field but protocol and n"
+    (Obj.size (Obj.repr p) - 2)
+    (List.length rows);
+  Alcotest.(check (list (float 0.0))) "values in field order"
+    [ 1.; 2.; 3.5; 4.5; 5.5; 6.; 7.; 8.5; 9.; 10.; 11.; 1.; 13.; 14.; 15. ]
+    (List.map (fun (r : B.row) -> r.value) rows);
+  Alcotest.(check int) "distinct names" (List.length rows)
+    (List.length (List.sort_uniq compare (List.map (fun (r : B.row) -> r.name) rows)));
+  List.iter
+    (fun (r : B.row) ->
+      Alcotest.(check bool) (r.name ^ " keyed by protocol and n") true
+        (contains ~affix:"Sampled/n=64/" r.name);
+      let words =
+        List.exists
+          (fun w -> contains ~affix:w r.name)
+          [ "mem_words"; "minor_words"; "major_words" ]
+      in
+      Alcotest.(check bool) (r.name ^ " rule") true
+        (r.rule = if words then B.Max_growth else B.Exact))
+    rows
+
 let suite =
   ( "harness",
     [
@@ -198,6 +331,13 @@ let suite =
       Alcotest.test_case "abstract byzantine" `Slow test_abstract_byzantine_safety;
       Alcotest.test_case "sweep shape" `Quick test_sweep_shape;
       Alcotest.test_case "phase distribution" `Quick test_phase_distribution;
+      Alcotest.test_case "baseline round trip" `Quick test_baseline_round_trip;
+      Alcotest.test_case "baseline exact one ulp" `Quick test_baseline_exact_one_ulp;
+      Alcotest.test_case "baseline max growth" `Quick test_baseline_max_growth;
+      Alcotest.test_case "baseline one-sided rows" `Quick test_baseline_one_sided_rows;
+      Alcotest.test_case "baseline rejects" `Quick test_baseline_rejects;
+      Alcotest.test_case "scaling rows cover every field" `Quick
+        test_scaling_rows_cover_every_field;
     ] )
 
 (* --- paper-shape assertions ----------------------------------------------- *)

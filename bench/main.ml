@@ -605,8 +605,17 @@ let crypto_tests () =
   let proof = Crypto.Onetime_sig.reveal sk ~phase:3 Crypto.Onetime_sig.S_one in
   let params, key_shares = Crypto.Coin.setup rng ~n:4 ~threshold:2 ~pbits:512 ~qbits:160 () in
   let share = Crypto.Coin.create_share params key_shares.(0) ~name:"bench" in
+  (* the coin's shape: a 512-bit modulus and a 160-bit exponent *)
+  let modulus = Prime.random_prime rng ~bits:512 in
+  let modexp_base = Prime.random_below rng modulus in
+  let modexp_exp = Prime.random_bits rng ~bits:160 in
   Test.make_grouped ~name:"crypto"
     [
+      Test.make ~name:"znum-modexp-512x160"
+        (Staged.stage (fun () -> Znum.mod_pow ~base:modexp_base ~exp:modexp_exp ~m:modulus));
+      Test.make ~name:"rsa512-generate"
+        (let keygen_rng = Util.Rng.create ~seed:78L in
+         Staged.stage (fun () -> Crypto.Rsa.generate keygen_rng ~bits:512));
       Test.make ~name:"sha256-256B" (Staged.stage (fun () -> Crypto.Sha256.digest buf));
       Test.make ~name:"hmac-256B"
         (Staged.stage (fun () -> Crypto.Hmac.mac ~key:proof buf));

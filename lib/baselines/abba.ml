@@ -26,6 +26,9 @@ let setup_keys rng ~n ~f ?(rsa_bits = 512) () =
   let coin_params, coin_keys = Crypto.Coin.setup rng ~n ~threshold:(f + 1) () in
   { gk_n = n; gk_f = f; rsa; pubs; coin_params; coin_keys }
 
+let public_keys k = Array.copy k.pubs
+let coin_keys k = (k.coin_params, Array.copy k.coin_keys)
+
 (* signing strings *)
 let pre_string ~round ~value = Bytes.of_string (Printf.sprintf "pre|%d|%d" round value)
 let main_string ~round ~mv = Bytes.of_string (Printf.sprintf "main|%d|%d" round mv)

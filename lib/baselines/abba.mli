@@ -47,6 +47,12 @@ val setup_keys : Util.Rng.t -> n:int -> f:int -> ?rsa_bits:int -> unit -> group_
 (** Generates RSA keypairs for every party and deals the threshold-coin
     shares (threshold f+1). Default [rsa_bits] 512. *)
 
+val public_keys : group_keys -> Crypto.Rsa.public array
+(** Every party's RSA public key, indexed by party. *)
+
+val coin_keys : group_keys -> Crypto.Coin.params * Crypto.Coin.key_share array
+(** The coin parameters and every party's coin key share. *)
+
 type t
 
 val create :

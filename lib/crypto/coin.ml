@@ -1,5 +1,7 @@
 type params = {
   group : Prime.schnorr_group;
+  pm : Znum.modulus; (* p's reduction constants *)
+  cofactor : Znum.t; (* (p-1)/q *)
   thresh : int;
   vks : Znum.t array; (* vks.(i) = g^{x_i} mod p *)
 }
@@ -15,6 +17,7 @@ type share = {
 }
 
 let threshold p = p.thresh
+let verification_keys p = Array.copy p.vks
 
 let setup rng ~n ~threshold ?(pbits = 512) ?(qbits = 160) () =
   if threshold < 1 || threshold > n then invalid_arg "Coin.setup: need 1 <= threshold <= n";
@@ -24,17 +27,17 @@ let setup rng ~n ~threshold ?(pbits = 512) ?(qbits = 160) () =
   let key_shares =
     Array.of_list (List.map (fun (s : Shamir.share) -> { owner = s.index - 1; x = s.value }) shares)
   in
-  let vks = Array.map (fun ks -> Znum.mod_pow ~base:group.g ~exp:ks.x ~m:group.p) key_shares in
-  ({ group; thresh = threshold; vks }, key_shares)
+  let pm = Znum.modulus group.p in
+  let vks = Array.map (fun ks -> Znum.pow_in pm ~base:group.g ~exp:ks.x) key_shares in
+  let cofactor = Znum.div (Znum.sub group.p Znum.one) group.q in
+  ({ group; pm; cofactor; thresh = threshold; vks }, key_shares)
 
 (* Hash a name onto the order-q subgroup: interpret H(name||ctr) as an
    integer mod p and raise to (p-1)/q; retry on the identity. *)
-let hash_to_group (g : Prime.schnorr_group) name =
-  let cofactor = Znum.div (Znum.sub g.p Znum.one) g.q in
+let hash_to_group params name =
   let rec go ctr =
     let digest = Sha256.digest_string (Printf.sprintf "coin-base|%d|%s" ctr name) in
-    let h = Znum.emod (Znum.of_bytes_be digest) g.p in
-    let candidate = Znum.mod_pow ~base:h ~exp:cofactor ~m:g.p in
+    let candidate = Znum.pow_in params.pm ~base:(Znum.of_bytes_be digest) ~exp:params.cofactor in
     if Znum.equal candidate Znum.one then go (ctr + 1) else candidate
   in
   go 0
@@ -48,9 +51,9 @@ let challenge_of ~g ~gbar ~vk ~value ~a ~b ~q =
   Znum.emod (Znum.of_bytes_be digest) q
 
 let create_share params ks ~name =
-  let { group; _ } = params in
-  let gbar = hash_to_group group name in
-  let value = Znum.mod_pow ~base:gbar ~exp:ks.x ~m:group.p in
+  let { group; pm; _ } = params in
+  let gbar = hash_to_group params name in
+  let value = Znum.pow_in pm ~base:gbar ~exp:ks.x in
   (* DLEQ(g, vk_i; gbar, value): commitments with a nonce derived
      deterministically from the secret and the name (à la RFC 6979, so no
      fresh randomness is needed at share time) *)
@@ -61,8 +64,8 @@ let create_share params ks ~name =
     in
     Znum.emod (Znum.of_bytes_be digest) group.q
   in
-  let a = Znum.mod_pow ~base:group.g ~exp:nonce ~m:group.p in
-  let b = Znum.mod_pow ~base:gbar ~exp:nonce ~m:group.p in
+  let a = Znum.pow_in pm ~base:group.g ~exp:nonce in
+  let b = Znum.pow_in pm ~base:gbar ~exp:nonce in
   let c =
     challenge_of ~g:group.g ~gbar ~vk:params.vks.(ks.owner) ~value ~a ~b ~q:group.q
   in
@@ -72,22 +75,22 @@ let create_share params ks ~name =
 let share_owner s = s.sh_owner
 
 let verify_share params ~name share =
-  let { group; vks; _ } = params in
+  let { group; pm; vks; _ } = params in
   if share.sh_owner < 0 || share.sh_owner >= Array.length vks then false
   else if Znum.sign share.value <= 0 || Znum.compare share.value group.p >= 0 then false
   else begin
-    let gbar = hash_to_group group name in
+    let gbar = hash_to_group params name in
     let vk = vks.(share.sh_owner) in
     (* recompute commitments: a = g^z * vk^{-c}, b = gbar^z * value^{-c} *)
     let inv_exp base =
       match Znum.mod_inv base ~m:group.p with
       | None -> None
-      | Some inv -> Some (Znum.mod_pow ~base:inv ~exp:share.c ~m:group.p)
+      | Some inv -> Some (Znum.pow_in pm ~base:inv ~exp:share.c)
     in
     match (inv_exp vk, inv_exp share.value) with
     | Some vk_neg_c, Some val_neg_c ->
-        let a = Znum.emod (Znum.mul (Znum.mod_pow ~base:group.g ~exp:share.z ~m:group.p) vk_neg_c) group.p in
-        let b = Znum.emod (Znum.mul (Znum.mod_pow ~base:gbar ~exp:share.z ~m:group.p) val_neg_c) group.p in
+        let a = Znum.mul_in pm (Znum.pow_in pm ~base:group.g ~exp:share.z) vk_neg_c in
+        let b = Znum.mul_in pm (Znum.pow_in pm ~base:gbar ~exp:share.z) val_neg_c in
         Znum.equal (challenge_of ~g:group.g ~gbar ~vk ~value:share.value ~a ~b ~q:group.q) share.c
     | _ -> false
   end
@@ -106,8 +109,7 @@ let combine params ~name shares =
       List.fold_left
         (fun acc s ->
           let lambda = List.assoc (s.sh_owner + 1) lambdas in
-          Znum.emod (Znum.mul acc (Znum.mod_pow ~base:s.value ~exp:lambda ~m:params.group.p))
-            params.group.p)
+          Znum.mul_in params.pm acc (Znum.pow_in params.pm ~base:s.value ~exp:lambda))
         Znum.one subset
     in
     let digest = Sha256.digest (Znum.to_bytes_be combined) in

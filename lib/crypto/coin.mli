@@ -29,6 +29,9 @@ val setup :
 
 val threshold : params -> int
 
+val verification_keys : params -> Znum.t array
+(** [g^{x_i} mod p] for every party [i]. *)
+
 val create_share : params -> key_share -> name:string -> share
 (** [create_share params ks ~name] evaluates party [ks]'s contribution
     to the coin named [name] and attaches the DLEQ proof. *)

@@ -40,28 +40,20 @@ let random_below rng bound =
   in
   draw ()
 
-let trial_division_passes n =
-  (* returns false when a small prime divides n (and n is not that prime) *)
-  let ok = ref true in
-  let i = ref 0 in
-  let np = Array.length small_primes in
-  while !ok && !i < np do
-    let p = Znum.of_int small_primes.(!i) in
-    if Znum.sign (Znum.rem n p) = 0 && not (Znum.equal n p) then ok := false;
-    incr i
-  done;
-  !ok
+(* false when a small prime divides n; callers pass n > 1000, so n is
+   never one of those primes itself *)
+let trial_division_passes n = not (Array.exists (fun p -> Znum.rem_int n p = 0) small_primes)
 
-let miller_rabin_round rng n n_minus_1 d s =
-  (* one round with a random base; returns true when n passes *)
-  let a = Znum.add Znum.two (random_below rng (Znum.sub n (Znum.of_int 4))) in
-  let x = ref (Znum.mod_pow ~base:a ~exp:d ~m:n) in
+let miller_rabin_round rng md ~below ~n_minus_1 d s =
+  (* one round with a random base in [2, n-2]; true when n passes *)
+  let a = Znum.add Znum.two (random_below rng below) in
+  let x = ref (Znum.pow_in md ~base:a ~exp:d) in
   if Znum.equal !x Znum.one || Znum.equal !x n_minus_1 then true
   else begin
     let witness = ref true in
     let r = ref 1 in
     while !witness && !r < s do
-      x := Znum.emod (Znum.mul !x !x) n;
+      x := Znum.mul_in md !x !x;
       if Znum.equal !x n_minus_1 then witness := false;
       incr r
     done;
@@ -82,7 +74,10 @@ let is_probably_prime ?(rounds = 24) rng n =
     (* n-1 = d * 2^s with d odd *)
     let rec split d s = if Znum.is_odd d then (d, s) else split (Znum.shift_right d 1) (s + 1) in
     let d, s = split n_minus_1 0 in
-    let rec go i = i >= rounds || (miller_rabin_round rng n n_minus_1 d s && go (i + 1)) in
+    (* one reduction context serves every round *)
+    let md = Znum.modulus n in
+    let below = Znum.sub n (Znum.of_int 4) in
+    let rec go i = i >= rounds || (miller_rabin_round rng md ~below ~n_minus_1 d s && go (i + 1)) in
     go 0
   end
 
@@ -111,9 +106,10 @@ let schnorr_group rng ~pbits ~qbits =
   in
   let p = find_p () in
   let exponent = Znum.div (Znum.sub p Znum.one) q in
+  let pm = Znum.modulus p in
   let rec find_g () =
     let h = Znum.add Znum.two (random_below rng (Znum.sub p (Znum.of_int 4))) in
-    let g = Znum.mod_pow ~base:h ~exp:exponent ~m:p in
+    let g = Znum.pow_in pm ~base:h ~exp:exponent in
     if Znum.equal g Znum.one then find_g () else g
   in
   let g = find_g () in

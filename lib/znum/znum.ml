@@ -1,6 +1,7 @@
 (* Magnitudes are little-endian arrays of limbs in base 2^26. The limb
    width is chosen so that every intermediate product or Knuth-D quotient
-   estimate (at most 2^52 + 2^26) fits in a native 63-bit int. *)
+   estimate (at most 2^52 + 2^26), and every Montgomery partial sum
+   (below 2^54), fits in a native 63-bit int. *)
 
 let limb_bits = 26
 let base = 1 lsl limb_bits
@@ -166,6 +167,14 @@ module Nat = struct
     done;
     (norm q, !r)
 
+  (* Remainder by a single limb 0 < d < base, without allocating. *)
+  let rem_limb (a : t) d =
+    let r = ref 0 in
+    for i = Array.length a - 1 downto 0 do
+      r := ((!r lsl limb_bits) lor a.(i)) mod d
+    done;
+    !r
+
   (* Knuth algorithm D. Returns (quotient, remainder). b <> 0. *)
   let divmod (a : t) (b : t) : t * t =
     if is_zero b then raise Division_by_zero;
@@ -317,17 +326,163 @@ let mod_inv t ~m =
   let g, x, _ = egcd (emod t m) m in
   if not (equal g one) then None else Some (emod x m)
 
-let mod_pow ~base:b ~exp ~m =
+let rem_int t d =
+  if d <= 0 || d >= base then invalid_arg "Znum.rem_int: divisor out of range";
+  t.sg * Nat.rem_limb t.mag d
+
+(* Modular exponentiation. A residue is a fixed-width array of [k] limbs
+   (high limbs may be zero), multiplied in place into preallocated
+   buffers. An odd modulus reduces by Montgomery multiplication
+   (Montgomery 1985, "Modular multiplication without trial division"),
+   so its residues carry a factor R = base^k; an even one multiplies and
+   then divides. Buffers are per call, never shared, so concurrent
+   domains may use one [modulus]. *)
+
+type reduction =
+  | Montgomery of { minv : int; (* -m^-1 mod base *) r2 : int array (* R^2 mod m *) }
+  | Division
+
+type modulus = { m : Nat.t; k : int; red : reduction }
+
+let pad k (a : Nat.t) =
+  let out = Array.make k 0 in
+  Array.blit a 0 out 0 (Array.length a);
+  out
+
+(* dst <- a * b * R^-1 mod m for a, b < m, with t a scratch of k+1 limbs.
+   Each pass over b.(i) adds a * b.(i) and the multiple q * m that clears
+   the low limb in one inner loop, then shifts down one limb, so t stays
+   below 2m. Every partial sum stays below 2^54. The unsafe accesses
+   index a, b and m below k, their length, and t below k+1. *)
+let mont_mul ~m ~k ~minv t dst a b =
+  Array.fill t 0 (k + 1) 0;
+  let m0 = Array.unsafe_get m 0 and a0 = Array.unsafe_get a 0 in
+  for i = 0 to k - 1 do
+    let bi = Array.unsafe_get b i in
+    let s0 = Array.unsafe_get t 0 + (a0 * bi) in
+    let q = ((s0 land limb_mask) * minv) land limb_mask in
+    let c = ref ((s0 + (q * m0)) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let s =
+        Array.unsafe_get t j + (Array.unsafe_get a j * bi) + (q * Array.unsafe_get m j) + !c
+      in
+      Array.unsafe_set t (j - 1) (s land limb_mask);
+      c := s lsr limb_bits
+    done;
+    let s = Array.unsafe_get t k + !c in
+    Array.unsafe_set t (k - 1) (s land limb_mask);
+    Array.unsafe_set t k (s lsr limb_bits)
+  done;
+  (* t >= m: a carry limb, or the first differing limb from the top is
+     larger, or no limb differs *)
+  let i = ref (k - 1) in
+  while !i >= 0 && t.(!i) = m.(!i) do
+    decr i
+  done;
+  if t.(k) > 0 || !i < 0 || t.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for i = 0 to k - 1 do
+      let d = t.(i) - m.(i) - !borrow in
+      dst.(i) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 dst 0 k
+
+(* dst <- a * b (mod m) in the modulus's residue form. *)
+let mul_reduce md t dst a b =
+  match md.red with
+  | Montgomery { minv; _ } -> mont_mul ~m:md.m ~k:md.k ~minv t dst a b
+  | Division ->
+      let r = snd (Nat.divmod (Nat.mul a b) md.m) in
+      Array.fill dst 0 md.k 0;
+      Array.blit r 0 dst 0 (Array.length r)
+
+(* Residue form of x < m, and back. *)
+let enter md t (x : Nat.t) =
+  let out = Array.make md.k 0 in
+  (match md.red with
+  | Montgomery { minv; r2 } -> mont_mul ~m:md.m ~k:md.k ~minv t out (pad md.k x) r2
+  | Division -> Array.blit x 0 out 0 (Array.length x));
+  out
+
+let leave md t r =
+  match md.red with
+  | Montgomery { minv; _ } ->
+      let out = Array.make md.k 0 in
+      mont_mul ~m:md.m ~k:md.k ~minv t out r (pad md.k (Nat.of_int 1));
+      Nat.norm out
+  | Division -> Nat.norm r
+
+let modulus m =
+  if m.sg <= 0 then invalid_arg "Znum.modulus: modulus must be positive";
+  let k = Array.length m.mag in
+  let m0 = m.mag.(0) in
+  if m0 land 1 = 0 then { m = m.mag; k; red = Division }
+  else begin
+    (* Newton's iteration doubles the correct low bits of m0^-1: 3 (odd
+       m0 is its own inverse mod 8), 6, 12, 24, 48 >= limb_bits *)
+    let inv = ref m0 in
+    for _ = 1 to 4 do
+      inv := (!inv * (2 - (m0 * !inv))) land limb_mask
+    done;
+    let r2 = snd (Nat.divmod (Nat.shift_left (Nat.of_int 1) (2 * k * limb_bits)) m.mag) in
+    { m = m.mag; k; red = Montgomery { minv = (base - !inv) land limb_mask; r2 = pad k r2 } }
+  end
+
+let reduce md x = (emod x { sg = 1; mag = md.m }).mag
+let window_bits = 4
+
+let pow_in md ~base:b ~exp =
+  if exp.sg < 0 then invalid_arg "Znum.pow_in: negative exponent";
+  let nbits = bit_length exp in
+  if nbits = 0 then mk 1 (reduce md one)
+  else begin
+    let k = md.k in
+    let t = Array.make (k + 1) 0 in
+    (* table.(d) = b^d for every window value d >= 1 *)
+    let table = Array.make (1 lsl window_bits) [||] in
+    table.(1) <- enter md t (reduce md b);
+    for d = 2 to (1 lsl window_bits) - 1 do
+      table.(d) <- Array.make k 0;
+      mul_reduce md t table.(d) table.(d - 1) table.(1)
+    done;
+    let digit w =
+      let v = ref 0 in
+      for i = window_bits - 1 downto 0 do
+        v := (!v lsl 1) lor if testbit exp ((w * window_bits) + i) then 1 else 0
+      done;
+      !v
+    in
+    let top = (nbits - 1) / window_bits in
+    let acc = ref (Array.copy table.(digit top)) and spare = ref (Array.make k 0) in
+    let step x =
+      mul_reduce md t !spare !acc x;
+      let r = !spare in
+      spare := !acc;
+      acc := r
+    in
+    for w = top - 1 downto 0 do
+      for _ = 1 to window_bits do
+        step !acc
+      done;
+      let d = digit w in
+      if d <> 0 then step table.(d)
+    done;
+    mk 1 (leave md t !acc)
+  end
+
+let mul_in md a b =
+  let t = Array.make (md.k + 1) 0 in
+  (* a's residue times b undoes the Montgomery factor exactly once *)
+  let out = Array.make md.k 0 in
+  mul_reduce md t out (enter md t (reduce md a)) (pad md.k (reduce md b));
+  mk 1 (Nat.norm out)
+
+let mod_pow ~base ~exp ~m =
   if m.sg <= 0 then invalid_arg "Znum.mod_pow: modulus must be positive";
   if exp.sg < 0 then invalid_arg "Znum.mod_pow: negative exponent";
-  let b = ref (emod b m) in
-  let result = ref (emod one m) in
-  let nbits = bit_length exp in
-  for i = 0 to nbits - 1 do
-    if testbit exp i then result := emod (mul !result !b) m;
-    if i < nbits - 1 then b := emod (mul !b !b) m
-  done;
-  !result
+  pow_in (modulus m) ~base ~exp
 
 (* Decimal I/O through chunks of 10^7 (< 2^26, so a single limb). *)
 let chunk = 10_000_000

@@ -72,8 +72,30 @@ val mod_inv : t -> m:t -> t option
 (** Multiplicative inverse of [t] modulo [m], in [\[0, m)], when
     [gcd t m = 1]. *)
 
+val rem_int : t -> int -> int
+(** [rem_int a d] is [rem a (of_int d)] as an [int], computed without
+    allocating. @raise Invalid_argument unless [0 < d < 2^26]. *)
+
 val mod_pow : base:t -> exp:t -> m:t -> t
 (** [mod_pow ~base ~exp ~m] for [exp >= 0], [m > 0]; result in
-    [\[0, m)]. Square-and-multiply with window size 1. *)
+    [\[0, m)]. Same as [pow_in (modulus m)]. *)
+
+type modulus
+(** A positive modulus with its reduction constants precomputed, for
+    many operations under one modulus. Immutable: domains may share it. *)
+
+val modulus : t -> modulus
+(** @raise Invalid_argument if the modulus is not positive. *)
+
+val pow_in : modulus -> base:t -> exp:t -> t
+(** [pow_in md ~base ~exp] is [base^exp] reduced into [\[0, m)] for
+    [exp >= 0]; [base] may be negative or at least [m]. Fixed 4-bit
+    windows (at most one multiplication per 4 exponent bits after a
+    15-entry table) over Montgomery multiplication for odd [m], and over
+    multiply-then-divide for even [m].
+    @raise Invalid_argument on a negative exponent. *)
+
+val mul_in : modulus -> t -> t -> t
+(** [mul_in md a b] is [a * b] reduced into [\[0, m)]. *)
 
 val pp : Format.formatter -> t -> unit

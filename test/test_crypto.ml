@@ -548,6 +548,28 @@ let test_multisig_serialization () =
   Alcotest.(check bool) "verifies" true (Crypto.Multisig.verify ~keys:(ms_pubs ()) ~msg ~k:2 back);
   Alcotest.(check int) "size" (Bytes.length (Crypto.Multisig.to_bytes ms)) (Crypto.Multisig.size ms)
 
+(* --- key material golden ---------------------------------------------------------- *)
+
+(* ABBA key set-up draws RSA primes, a Schnorr group and coin shares from
+   one seeded stream. Any change to the bignum stack must leave the keys
+   (and hence every ABBA coin and simulated number) bit-identical. *)
+let abba_keys_golden =
+  "94453a7808f1964890463ec10b67123fc03ce1541e5d6654f2701b146be8d3ef"
+
+let test_abba_keys_golden () =
+  let keys = Baselines.Abba.setup_keys (Util.Rng.create ~seed:2010L) ~n:4 ~f:1 () in
+  let params, shares = Baselines.Abba.coin_keys keys in
+  let material =
+    List.concat
+      [
+        Array.to_list (Array.map Crypto.Rsa.public_to_bytes (Baselines.Abba.public_keys keys));
+        Array.to_list (Array.map (fun vk -> Znum.to_bytes_be vk) (Crypto.Coin.verification_keys params));
+        [ Crypto.Coin.share_to_bytes (Crypto.Coin.create_share params shares.(0) ~name:"golden") ];
+      ]
+  in
+  Alcotest.(check string) "sha256 of keys" abba_keys_golden
+    (Util.Codec.hex (Crypto.Sha256.digest (Bytes.concat Bytes.empty material)))
+
 let suite =
   ( "crypto",
     [
@@ -601,4 +623,5 @@ let suite =
       Alcotest.test_case "multisig unknown signer" `Quick test_multisig_out_of_range_signer;
       Alcotest.test_case "multisig replace" `Quick test_multisig_replace;
       Alcotest.test_case "multisig serialization" `Quick test_multisig_serialization;
+      Alcotest.test_case "abba key material golden" `Quick test_abba_keys_golden;
     ] )

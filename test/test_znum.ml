@@ -164,6 +164,105 @@ let qcheck_modpow_mul =
       in
       Znum.equal lhs rhs)
 
+(* Reference for the windowed Montgomery kernel: right-to-left
+   square-and-multiply with a full division after every product. *)
+let naive_mod_pow b e m =
+  let r = ref (Znum.emod Znum.one m) and x = ref (Znum.emod b m) in
+  for i = 0 to Znum.bit_length e - 1 do
+    if Znum.testbit e i then r := Znum.emod (Znum.mul !r !x) m;
+    x := Znum.emod (Znum.mul !x !x) m
+  done;
+  !r
+
+(* uniform in [0, 2^bits) *)
+let gen_bits bits =
+  QCheck.Gen.(
+    let nbytes = (bits + 7) / 8 in
+    map
+      (fun s -> Znum.shift_right (Znum.of_bytes_be (Bytes.of_string s)) ((nbytes * 8) - bits))
+      (string_size ~gen:char (return nbytes)))
+
+(* a modulus of exactly [bits] bits with the given parity (bits >= 2) *)
+let gen_modulus ~odd bits =
+  QCheck.Gen.map
+    (fun r ->
+      let m = Znum.add (Znum.shift_left Znum.one (bits - 1)) r in
+      if Znum.is_odd m = odd then m else Znum.sub m Znum.one)
+    (gen_bits (bits - 1))
+
+let gen_pow_case =
+  QCheck.Gen.(
+    let* m =
+      frequency
+        [
+          (4, int_range 27 600 >>= gen_modulus ~odd:true);
+          (2, int_range 2 26 >>= gen_modulus ~odd:true);
+          (2, int_range 2 600 >>= gen_modulus ~odd:false);
+          (1, return Znum.one);
+        ]
+    in
+    let* base = int_range 0 (Znum.bit_length m + 40) >>= gen_bits in
+    let* negative = bool in
+    let* exp = frequency [ (1, return Znum.zero); (5, int_range 1 600 >>= gen_bits) ] in
+    return (m, (if negative then Znum.neg base else base), exp))
+
+let qcheck_mod_pow_reference =
+  QCheck.Test.make ~name:"mod_pow matches square-and-multiply" ~count:200
+    (QCheck.make
+       ~print:(fun (m, b, e) ->
+         Printf.sprintf "m=%s base=%s exp=%s" (Znum.to_string m) (Znum.to_string b)
+           (Znum.to_string e))
+       gen_pow_case)
+    (fun (m, b, e) ->
+      let md = Znum.modulus m in
+      let expected = naive_mod_pow b e m in
+      Znum.equal (Znum.mod_pow ~base:b ~exp:e ~m) expected
+      (* one context reused for a second, unrelated operation *)
+      && Znum.equal (Znum.pow_in md ~base:b ~exp:e) expected
+      && Znum.equal (Znum.mul_in md b expected) (Znum.emod (Znum.mul b expected) m))
+
+(* Powers that vanish under a composite odd modulus: the Montgomery
+   product of two residues whose product is divisible by m lands on 0 or
+   exactly m, and only the final subtraction maps m to 0. *)
+let test_mod_pow_vanishing () =
+  let rng = Util.Rng.create ~seed:15L in
+  for bits = 2 to 60 do
+    let x = Znum.add (Prime.random_bits rng ~bits:(bits * 5)) Znum.one in
+    let x = if Znum.is_even x then Znum.add x Znum.one else x in
+    let y = Znum.add (Prime.random_bits rng ~bits) Znum.one in
+    let y = if Znum.is_even y then Znum.add y Znum.one else y in
+    let m = Znum.mul (Znum.mul x x) y in
+    List.iter
+      (fun (base, e) ->
+        let exp = Znum.of_int e in
+        Alcotest.(check string)
+          (Printf.sprintf "bits %d exp %d" bits e)
+          (Znum.to_string (naive_mod_pow base exp m))
+          (Znum.to_string (Znum.mod_pow ~base ~exp ~m)))
+      [ (Znum.mul x y, 2); (Znum.mul x y, 7); (m, 3); (Znum.neg m, 1); (Znum.mul m m, 0) ]
+  done
+
+(* Coin parameters hold one modulus that every party's domain uses: two
+   domains exponentiating under it at once must agree with one domain
+   doing the same work alone. *)
+let test_modulus_shared_by_domains () =
+  let rng = Util.Rng.create ~seed:16L in
+  let m = Prime.random_prime rng ~bits:256 in
+  let md = Znum.modulus m in
+  let cases = List.init 150 (fun _ -> (Prime.random_below rng m, Prime.random_bits rng ~bits:160)) in
+  let run () = List.map (fun (base, exp) -> Znum.pow_in md ~base ~exp) cases in
+  let alone = run () in
+  let other = Domain.spawn run in
+  let mine = run () in
+  let equal = List.equal Znum.equal in
+  Alcotest.(check bool) "this domain" true (equal alone mine);
+  Alcotest.(check bool) "spawned domain" true (equal alone (Domain.join other))
+
+let qcheck_rem_int =
+  QCheck.Test.make ~name:"rem_int matches rem" ~count:300
+    (QCheck.pair arb_big QCheck.(int_range 1 ((1 lsl 26) - 1)))
+    (fun (a, d) -> Znum.of_int (Znum.rem_int a d) |> Znum.equal (Znum.rem a (Znum.of_int d)))
+
 (* --- primes ---------------------------------------------------------------- *)
 
 let test_small_primes_table () =
@@ -240,6 +339,10 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_string_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_distributivity;
       QCheck_alcotest.to_alcotest qcheck_modpow_mul;
+      QCheck_alcotest.to_alcotest qcheck_mod_pow_reference;
+      Alcotest.test_case "mod_pow vanishing powers" `Quick test_mod_pow_vanishing;
+      Alcotest.test_case "modulus shared by domains" `Quick test_modulus_shared_by_domains;
+      QCheck_alcotest.to_alcotest qcheck_rem_int;
       Alcotest.test_case "small primes table" `Quick test_small_primes_table;
       Alcotest.test_case "primality known values" `Quick test_primality_known;
       Alcotest.test_case "random prime" `Quick test_random_prime_properties;
